@@ -26,16 +26,21 @@ CSV_HEADER = "tick,timestamp_s,value"
 
 
 def write_register_csv(path, ticks, timestamps, values) -> None:
+    _write_rows(path, _row_prefixes(ticks, timestamps), values)
+
+
+def _row_prefixes(ticks, timestamps) -> list[str]:
+    """The ``tick,timestamp_s,`` start of every register row."""
+    stamps = np.asarray(timestamps, dtype=np.float64).tolist()
+    ticks = np.asarray(ticks, dtype=np.int64).tolist()
+    return [f"{tick},{ts!r}," for tick, ts in zip(ticks, stamps)]
+
+
+def _write_rows(path, prefixes: list[str], values) -> None:
+    values = np.asarray(values, dtype=np.int64).tolist()
+    rows = [f"{p}{v}\n" for p, v in zip(prefixes, values)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for tick, ts, value in zip(ticks, timestamps, values):
-            fh.write(f"{int(tick)},{_fmt_ts(float(ts))},{int(value)}\n")
-
-
-def _fmt_ts(ts: float) -> str:
-    # Timestamps are multiples of the interval; trim trailing float noise
-    # while keeping sub-second cadences exact.
-    return repr(ts)
+        fh.write(CSV_HEADER + "\n" + "".join(rows))
 
 
 def read_register_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,12 +85,13 @@ def export_store(store, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for switch_id, port in store.keys():
-        ticks = [s.tick for s in store.snapshots(switch_id, port)]
-        stamps = store.timestamps(switch_id, port)
+        prefixes = _row_prefixes(
+            store.ticks(switch_id, port), store.timestamps(switch_id, port)
+        )
         for field_name in COUNTER_FIELDS:
-            series = store.counter_series(switch_id, port, field_name)
             path = os.path.join(out_dir, f"{switch_id}_p{port}_{field_name}.csv")
-            write_register_csv(path, ticks, stamps, series)
+            series = store.counter_series(switch_id, port, field_name)
+            _write_rows(path, prefixes, series)
             written.append(path)
     return written
 

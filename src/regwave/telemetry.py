@@ -1,17 +1,18 @@
 """Simulated switch data plane and polling collector.
 
 Switches hold monotone per-port counters driven by traffic profiles and
-injected anomalies on a simulated clock; a collector polls them with a
-statistics request/reply exchange at a fixed cadence and appends snapshots to
-a register store.  Everything is deterministic under a fixed seed, so a
-42-minute experiment replays in milliseconds.
+injected anomalies on a simulated clock.  Polling a switch for n ticks runs
+one columnar kernel per switch: every tick's volume, jitter draw and counter
+value is computed at once with numpy, and the register store receives one
+int64 column per counter field plus the poll timestamps.  Everything is
+deterministic under a fixed seed, so a 42-minute experiment replays in
+milliseconds.
 """
 
 from __future__ import annotations
 
-import logging
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from .errors import (
     MonotonicityError,
     UnknownPortError,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_INTERVAL = 10.0
 
@@ -60,21 +59,6 @@ class PortCounters:
 
 
 @dataclass(frozen=True)
-class StatsRequest:
-    request_id: int
-    switch_id: str
-    issued_at: float
-
-
-@dataclass(frozen=True)
-class StatsReply:
-    request_id: int
-    switch_id: str
-    ports: dict
-    replied_at: float
-
-
-@dataclass(frozen=True)
 class Burst:
     t_start: float
     duration: float
@@ -83,6 +67,10 @@ class Burst:
     def __post_init__(self):
         if self.duration <= 0 or self.multiplier <= 0:
             raise DataError(f"burst needs positive duration and multiplier: {self}")
+
+    def factor_at(self, t: np.ndarray) -> np.ndarray:
+        inside = (self.t_start <= t) & (t < self.t_start + self.duration)
+        return np.where(inside, self.multiplier, 1.0)
 
 
 @dataclass(frozen=True)
@@ -129,16 +117,14 @@ class AnomalyScenario:
         if self.kind == "dropout" and not 0.0 <= self.magnitude < 1.0:
             raise DataError(f"dropout magnitude must lie in [0, 1), got {self.magnitude}")
 
-    def factor_at(self, t: float) -> float:
+    def factor_at(self, t: np.ndarray) -> np.ndarray:
+        """Traffic multiplier at each time in t."""
+        t = np.asarray(t, dtype=np.float64)
+        end = self.t0 + self.duration
         if self.kind == "drift":
-            if t < self.t0:
-                return 1.0
-            if t >= self.t0 + self.duration:
-                return self.magnitude
-            return 1.0 + (self.magnitude - 1.0) * (t - self.t0) / self.duration
-        if self.t0 <= t < self.t0 + self.duration:
-            return self.magnitude
-        return 1.0
+            ramp = 1.0 + (self.magnitude - 1.0) * (t - self.t0) / self.duration
+            return np.where(t < self.t0, 1.0, np.where(t >= end, self.magnitude, ramp))
+        return np.where((self.t0 <= t) & (t < end), self.magnitude, 1.0)
 
 
 def _rng_for(seed: int, switch_id: str) -> np.random.Generator:
@@ -147,6 +133,22 @@ def _rng_for(seed: int, switch_id: str) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([seed, zlib.crc32(switch_id.encode())]))
     )
+
+
+def _sum_per_tick(values: np.ndarray, tick: np.ndarray, n_ticks: int) -> np.ndarray:
+    """Sum consecutive segment values into their ticks, left to right.
+
+    Adds each tick's first segments, then its second ones, and so on, so a
+    tick with segments s0, s1, s2 gets ((0.0 + s0) + s1) + s2 exactly.
+    np.add.reduceat would add s0 to a pairwise sum of the rest, which can
+    differ in the last bit once a tick holds three or more segments.
+    """
+    rank = np.arange(tick.shape[0]) - np.searchsorted(tick, tick)
+    total = np.zeros(n_ticks)
+    for k in range(int(rank.max(initial=-1)) + 1):
+        at = rank == k
+        total[tick[at]] += values[at]
+    return total
 
 
 class SwitchSim:
@@ -168,98 +170,102 @@ class SwitchSim:
         self.counters = {port: PortCounters() for port in sorted(self.profiles)}
         self._rng = _rng_for(seed, switch_id)
 
-    def _volume(self, port: int, t0: float, t1: float, apply_dropouts: bool) -> float:
-        """Exact bytes offered to a port over [t0, t1), before jitter."""
+    def _volumes(self, port: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact bytes offered to a port over each tick [edges[k], edges[k+1])
+        before jitter, and the bytes dropouts suppress in each tick."""
         profile = self.profiles[port]
-        cuts = {t0, t1}
-        for b in profile.bursts:
-            cuts.update((b.t_start, b.t_start + b.duration))
         scenarios = [s for s in self.scenarios if s.port == port]
+        cuts = np.array(
+            [t for b in profile.bursts for t in (b.t_start, b.t_start + b.duration)]
+            + [t for s in scenarios for t in (s.t0, s.t0 + s.duration)],
+            dtype=np.float64,
+        )
+        inner = cuts[(cuts > edges[0]) & (cuts < edges[-1])]
+        grid = np.unique(np.concatenate([edges, inner]))
+        a, b = grid[:-1], grid[1:]
+        tick = np.searchsorted(edges, a, side="right") - 1
+
+        # Inside a cut-free span every burst/spike/dropout factor is constant,
+        # so sampling them at the midpoint is exact.  Drift ramps vary
+        # linearly and are continuous, so Simpson integrates their product
+        # exactly for up to two overlapping ramps.
+        mid = 0.5 * (a + b)
+        const = np.ones_like(mid)
+        for burst in profile.bursts:
+            const = const * burst.factor_at(mid)
+        undropped = const
         for s in scenarios:
-            cuts.update((s.t0, s.t0 + s.duration))
-        edges = sorted(t for t in cuts if t0 <= t <= t1)
-        drifts = [s for s in scenarios if s.kind == "drift"]
+            if s.kind != "drift":
+                factor = s.factor_at(mid)
+                const = const * factor
+                if s.kind == "spike":
+                    undropped = undropped * factor
 
-        total = 0.0
-        for a, b in zip(edges, edges[1:]):
-            if b <= a:
-                continue
-            # Inside a cut-free span every burst/spike/dropout factor is
-            # constant, so sampling them at the midpoint is exact.  Drift
-            # ramps vary linearly and are continuous, so Simpson integrates
-            # their product exactly for up to two overlapping ramps.
-            mid = 0.5 * (a + b)
-            const = 1.0
-            for burst in profile.bursts:
-                if burst.t_start <= mid < burst.t_start + burst.duration:
-                    const *= burst.multiplier
+        def ramps(t: np.ndarray) -> np.ndarray:
+            f = np.ones_like(t)
             for s in scenarios:
-                if s.kind == "drift" or (s.kind == "dropout" and not apply_dropouts):
-                    continue
-                const *= s.factor_at(mid)
+                if s.kind == "drift":
+                    f = f * s.factor_at(t)
+            return f
 
-            def ramps(t: float) -> float:
-                f = 1.0
-                for s in drifts:
-                    f *= s.factor_at(t)
-                return f
+        simpson = ramps(a) + 4.0 * ramps(mid) + ramps(b)
+        n_ticks = edges.shape[0] - 1
+        offered = _sum_per_tick(
+            profile.base_rate * const * (b - a) * simpson / 6.0, tick, n_ticks
+        )
+        if not any(s.kind == "dropout" for s in scenarios):
+            return offered, np.zeros(n_ticks)
+        total = _sum_per_tick(
+            profile.base_rate * undropped * (b - a) * simpson / 6.0, tick, n_ticks
+        )
+        return offered, np.maximum(0.0, total - offered)
 
-            total += profile.base_rate * const * (b - a) * (
-                ramps(a) + 4.0 * ramps(mid) + ramps(b)
-            ) / 6.0
-        return total
+    def run(self, n_ticks: int, dt: float) -> tuple[np.ndarray, dict]:
+        """Accrue n_ticks intervals of dt seconds of traffic on every port.
 
-    def advance(self, dt: float) -> None:
-        """Accrue dt seconds of traffic on every port.
+        Per tick and direction the interval volume is scaled by
+        max(0, 1 + jitter * g) with one standard normal g drawn from the
+        switch stream (tick-major, then port, then rx before tx), then
+        rounded half-to-even to whole bytes.  Dropout-suppressed volume lands
+        in the drop counters.
 
-        Per direction the interval volume is scaled by max(0, 1 + jitter * g)
-        with one standard normal g drawn from the switch stream, then rounded
-        to whole bytes.  Dropout-suppressed volume lands in the drop counters.
+        Returns:
+            (timestamps, columns): the clock after each tick, and per port a
+            dict of int64 counter columns keyed by COUNTER_FIELDS.
         """
         if dt <= 0:
             raise InputError(f"dt must be positive, got {dt}")
-        t0, t1 = self.clock, self.clock + dt
-        for port in sorted(self.profiles):
-            profile = self.profiles[port]
-            offered = self._volume(port, t0, t1, apply_dropouts=True)
-            if any(s.kind == "dropout" and s.port == port for s in self.scenarios):
-                suppressed = max(
-                    0.0, self._volume(port, t0, t1, apply_dropouts=False) - offered
+        ports = sorted(self.profiles)
+        # Sequential cumsum: the same float additions as ticking the clock.
+        edges = np.cumsum(np.concatenate([[self.clock], np.full(n_ticks, float(dt))]))
+        draws = self._rng.standard_normal((n_ticks, len(ports), 2))
+        columns = {}
+        for i, port in enumerate(ports):
+            offered, suppressed = self._volumes(port, edges)
+            jitter = self.profiles[port].jitter
+            start = self.counters[port]
+            dropped = np.cumsum(np.rint(suppressed).astype(np.int64))
+            col = {}
+            for d, side in enumerate(("rx", "tx")):
+                scale = np.maximum(0.0, 1.0 + jitter * draws[:, i, d])
+                sent = np.cumsum(np.rint(offered * scale).astype(np.int64))
+                col[f"{side}_bytes"] = getattr(start, f"{side}_bytes") + sent
+                col[f"{side}_packets"] = col[f"{side}_bytes"] // FRAME_BYTES
+                col[f"{side}_drops"] = getattr(start, f"{side}_drops") + dropped
+                col[f"{side}_errors"] = np.full(
+                    n_ticks, getattr(start, f"{side}_errors"), dtype=np.int64
                 )
-            else:
-                suppressed = 0.0
-            ctr = self.counters[port]
-            for direction in ("rx", "tx"):
-                g = self._rng.standard_normal()
-                delta = int(round(offered * max(0.0, 1.0 + profile.jitter * g)))
-                bytes_field = f"{direction}_bytes"
-                new_bytes = getattr(ctr, bytes_field) + delta
-                setattr(ctr, bytes_field, new_bytes)
-                setattr(ctr, f"{direction}_packets", new_bytes // FRAME_BYTES)
-                setattr(
-                    ctr,
-                    f"{direction}_drops",
-                    getattr(ctr, f"{direction}_drops") + int(round(suppressed)),
+            columns[port] = col
+            if n_ticks:
+                self.counters[port] = PortCounters(
+                    **{name: int(col[name][-1]) for name in COUNTER_FIELDS}
                 )
-        self.clock = t1
+        self.clock = float(edges[-1])
+        return edges[1:], columns
 
-    def stats_reply(self, request: StatsRequest) -> StatsReply:
-        if request.switch_id != self.switch_id:
-            raise InputError(
-                f"request for {request.switch_id!r} sent to {self.switch_id!r}"
-            )
-        return StatsReply(
-            request_id=request.request_id,
-            switch_id=self.switch_id,
-            ports={port: ctr.copy() for port, ctr in self.counters.items()},
-            replied_at=self.clock,
-        )
-
-
-def advance(switch: SwitchSim, dt: float) -> SwitchSim:
-    """Functional spelling of SwitchSim.advance; returns the mutated switch."""
-    switch.advance(dt)
-    return switch
+    def advance(self, dt: float) -> None:
+        """Accrue dt seconds of traffic on every port: one tick of run()."""
+        self.run(1, dt)
 
 
 @dataclass(frozen=True)
@@ -269,23 +275,33 @@ class Snapshot:
     counters: PortCounters
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 class RegisterStore:
-    """Snapshot series per (switch, port), plus any recorded polling gaps."""
+    """Polled counter columns per (switch, port).
+
+    Each series is one timestamp array plus one int64 column per counter
+    field; row i is the snapshot of tick i + 1.  Accessors hand out the
+    store's own arrays, read-only.
+    """
 
     def __init__(self):
-        self._series: dict[tuple[str, int], list[Snapshot]] = {}
-        self.gaps: list[tuple[str, int]] = []
+        self._series: dict[tuple[str, int], tuple[np.ndarray, dict]] = {}
 
-    def append(self, switch_id: str, port: int, snapshot: Snapshot) -> None:
-        rows = self._series.setdefault((switch_id, port), [])
-        if rows and snapshot.tick <= rows[-1].tick:
-            raise InputError(
-                f"tick {snapshot.tick} arrived out of order for {switch_id}:{port}"
-            )
-        rows.append(snapshot)
-
-    def record_gap(self, switch_id: str, tick: int) -> None:
-        self.gaps.append((switch_id, tick))
+    def add(self, switch_id: str, port: int, timestamps, columns: dict) -> None:
+        """File one series; the store keeps read-only views of the arrays."""
+        key = (switch_id, port)
+        if key in self._series:
+            raise InputError(f"series for {switch_id}:{port} filed twice")
+        stamps = _read_only(timestamps, np.float64)
+        cols = {name: _read_only(columns[name], np.int64) for name in COUNTER_FIELDS}
+        if any(col.shape != stamps.shape for col in cols.values()):
+            raise InputError(f"counter columns of {switch_id}:{port} differ in length")
+        self._series[key] = (stamps, cols)
 
     def keys(self) -> list[tuple[str, int]]:
         return sorted(self._series)
@@ -293,59 +309,43 @@ class RegisterStore:
     def __len__(self) -> int:
         return len(self._series)
 
-    def snapshots(self, switch_id: str, port: int) -> list[Snapshot]:
+    def _get(self, switch_id: str, port: int) -> tuple[np.ndarray, dict]:
         try:
-            return list(self._series[(switch_id, port)])
+            return self._series[(switch_id, port)]
         except KeyError:
             raise UnknownPortError(f"no series for {switch_id!r} port {port}") from None
+
+    def ticks(self, switch_id: str, port: int) -> np.ndarray:
+        return np.arange(1, self.timestamps(switch_id, port).shape[0] + 1)
+
+    def timestamps(self, switch_id: str, port: int) -> np.ndarray:
+        return self._get(switch_id, port)[0]
 
     def counter_series(self, switch_id: str, port: int, field_name: str) -> np.ndarray:
         if field_name not in COUNTER_FIELDS:
             raise UnknownPortError(f"unknown counter field {field_name!r}")
-        rows = self.snapshots(switch_id, port)
-        return np.array([getattr(s.counters, field_name) for s in rows], dtype=np.int64)
+        return self._get(switch_id, port)[1][field_name]
 
-    def timestamps(self, switch_id: str, port: int) -> np.ndarray:
-        return np.array(
-            [s.timestamp_s for s in self.snapshots(switch_id, port)], dtype=np.float64
-        )
+    def snapshots(self, switch_id: str, port: int) -> list[Snapshot]:
+        """Row view of one series, built on demand."""
+        stamps, cols = self._get(switch_id, port)
+        rows = zip(*(cols[name].tolist() for name in COUNTER_FIELDS))
+        return [
+            Snapshot(tick=i, timestamp_s=ts, counters=PortCounters(*row))
+            for i, (ts, row) in enumerate(zip(stamps.tolist(), rows), start=1)
+        ]
 
 
 class Collector:
-    """Issues uniquely numbered statistics requests and files the replies."""
+    """Polling endpoint: runs a switch for a number of ticks and files one
+    series per port.  It keeps no state between polls."""
 
-    def __init__(self):
-        self._next_id = 1
-        self._outstanding: dict[int, str] = {}
-
-    def request(self, switch_id: str, now: float) -> StatsRequest:
-        req = StatsRequest(request_id=self._next_id, switch_id=switch_id, issued_at=now)
-        self._next_id += 1
-        self._outstanding[req.request_id] = switch_id
-        return req
-
-    def ingest(self, reply: StatsReply, store: RegisterStore, tick: int) -> bool:
-        expected = self._outstanding.pop(reply.request_id, None)
-        if expected is None or expected != reply.switch_id:
-            log.warning(
-                "dropping reply with unknown request id %s from %s",
-                reply.request_id,
-                reply.switch_id,
-            )
-            return False
-        for port, counters in sorted(reply.ports.items()):
-            store.append(
-                reply.switch_id,
-                port,
-                Snapshot(tick=tick, timestamp_s=reply.replied_at, counters=counters),
-            )
-        return True
-
-    def expire(self, switch_id: str, tick: int, store: RegisterStore) -> None:
-        store.record_gap(switch_id, tick)
-        self._outstanding = {
-            rid: sw for rid, sw in self._outstanding.items() if sw != switch_id
-        }
+    def collect(
+        self, store: RegisterStore, switch: SwitchSim, n_ticks: int, interval: float
+    ) -> None:
+        stamps, columns = switch.run(n_ticks, interval)
+        for port, cols in columns.items():
+            store.add(switch.switch_id, port, stamps, cols)
 
 
 def poll(
@@ -353,15 +353,10 @@ def poll(
     switches,
     interval: float = DEFAULT_INTERVAL,
     duration: float = 0.0,
-    store: RegisterStore | None = None,
-    lose_reply=None,
 ) -> RegisterStore:
     """Drive every switch through duration seconds of polled simulation.
 
-    Each tick advances all switches by one interval, then requests and files
-    one snapshot per switch.  lose_reply, if given, is called with
-    (switch_id, tick) and may return True to drop that reply, which records a
-    gap instead of a snapshot.
+    Every switch is snapshotted once per interval, after each tick.
 
     Args:
         interval: polling cadence in simulated seconds.
@@ -379,18 +374,10 @@ def poll(
         raise InputError(
             f"duration {duration} is not a multiple of the interval {interval}"
         )
-    if store is None:
-        store = RegisterStore()
-    for tick in range(1, n_ticks + 1):
+    store = RegisterStore()
+    if n_ticks:
         for sw in switches:
-            sw.advance(interval)
-        # Barrier per tick: every reply is filed before the next tick starts.
-        for sw in switches:
-            req = collector.request(sw.switch_id, now=sw.clock)
-            if lose_reply is not None and lose_reply(sw.switch_id, tick):
-                collector.expire(sw.switch_id, tick, store)
-                continue
-            collector.ingest(sw.stats_reply(req), store, tick=tick)
+            collector.collect(store, sw, n_ticks, interval)
     return store
 
 
@@ -427,7 +414,6 @@ def select_server_ports(store: RegisterStore, server_port_ids) -> RegisterStore:
     out = RegisterStore()
     for key in store.keys():
         if key in wanted:
-            for snap in store.snapshots(*key):
-                out.append(key[0], key[1], snap)
-    out.gaps = [g for g in store.gaps if any(g[0] == sw for sw, _ in wanted)]
+            stamps, cols = store._get(*key)
+            out.add(key[0], key[1], stamps, cols)
     return out

@@ -158,3 +158,11 @@ def test_export_store_writes_one_file_per_counter(tmp_path):
     t, s, v = read_register_csv(tmp_path / "s1_p1_tx_bytes.csv")
     assert list(v) == [10_000, 20_000, 30_000]
     assert list(t) == [1, 2, 3]
+
+
+def test_zero_duration_store_exports_nothing(tmp_path):
+    sw = SwitchSim("s1", {1: TrafficProfile(base_rate=1000.0)}, seed=0)
+    store = poll(Collector(), [sw], interval=10.0, duration=0.0)
+    out = tmp_path / "out"
+    assert export_store(store, out) == []
+    assert list(out.iterdir()) == []

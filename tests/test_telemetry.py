@@ -14,7 +14,7 @@ from regwave.telemetry import (
     Collector,
     SwitchSim,
     TrafficProfile,
-    StatsReply,
+    _rng_for,
     deltas,
     poll,
     select_server_ports,
@@ -173,28 +173,6 @@ def test_parallel_run_equals_sequential_runs():
     assert _series_dump(together) == alone
 
 
-def test_unknown_request_id_is_dropped():
-    collector = Collector()
-    store = poll(collector, [], interval=10.0, duration=0.0)
-    stray = StatsReply(request_id=999, switch_id="s1", ports={}, replied_at=10.0)
-    assert collector.ingest(stray, store, tick=1) is False
-    assert store.keys() == []
-
-
-def test_lost_reply_becomes_a_gap():
-    sw = SwitchSim("s1", {1: steady()}, seed=0)
-    store = poll(
-        Collector(),
-        [sw],
-        interval=10.0,
-        duration=50.0,
-        lose_reply=lambda switch_id, tick: tick == 3,
-    )
-    assert len(store.snapshots("s1", 1)) == 4
-    assert store.gaps == [("s1", 3)]
-    assert [s.tick for s in store.snapshots("s1", 1)] == [1, 2, 4, 5]
-
-
 def test_delta_arithmetic():
     assert list(deltas([100, 250, 400])) == [150, 150]
     assert list(deltas([5, 5, 5])) == [0, 0]
@@ -233,3 +211,174 @@ def test_counter_series_validates_the_field_name():
     store = poll(Collector(), [sw], interval=10.0, duration=30.0)
     with pytest.raises(UnknownPortError):
         store.counter_series("s1", 1, "bogus_field")
+
+
+def _reference_volume(profile, scenarios, t0, t1, with_dropouts):
+    """Scalar restatement of one tick's offered bytes: cut [t0, t1) at every
+    burst and anomaly edge inside it, integrate each piece with midpoint
+    factors and Simpson's rule for drift ramps, add the pieces left to right."""
+
+    def ramps(t):
+        f = 1.0
+        for s in scenarios:
+            if s.kind == "drift":
+                if t >= s.t0 + s.duration:
+                    f *= s.magnitude
+                elif t >= s.t0:
+                    f *= 1.0 + (s.magnitude - 1.0) * (t - s.t0) / s.duration
+        return f
+
+    cuts = {t0, t1}
+    cuts.update(t for b in profile.bursts for t in (b.t_start, b.t_start + b.duration))
+    cuts.update(t for s in scenarios for t in (s.t0, s.t0 + s.duration))
+    edges = sorted(t for t in cuts if t0 <= t <= t1)
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        mid = 0.5 * (a + b)
+        const = 1.0
+        for burst in profile.bursts:
+            if burst.t_start <= mid < burst.t_start + burst.duration:
+                const *= burst.multiplier
+        for s in scenarios:
+            if s.kind == "spike" or (s.kind == "dropout" and with_dropouts):
+                if s.t0 <= mid < s.t0 + s.duration:
+                    const *= s.magnitude
+        total += profile.base_rate * const * (b - a) * (
+            ramps(a) + 4.0 * ramps(mid) + ramps(b)
+        ) / 6.0
+    return total
+
+
+def _reference_columns(switch_id, profiles, scenarios, seed, interval, n_ticks):
+    """Counter columns of a fresh switch, computed one tick and port at a time."""
+    rng = _rng_for(seed, switch_id)
+    state = {port: dict.fromkeys(COUNTER_FIELDS, 0) for port in profiles}
+    out = {port: {f: [] for f in COUNTER_FIELDS} for port in profiles}
+    clock = 0.0
+    for _ in range(n_ticks):
+        t0, t1 = clock, clock + interval
+        for port in sorted(profiles):
+            own = [s for s in scenarios if s.port == port]
+            offered = _reference_volume(profiles[port], own, t0, t1, True)
+            suppressed = 0.0
+            if any(s.kind == "dropout" for s in own):
+                total = _reference_volume(profiles[port], own, t0, t1, False)
+                suppressed = max(0.0, total - offered)
+            ctr = state[port]
+            for direction in ("rx", "tx"):
+                g = rng.standard_normal()
+                scale = max(0.0, 1.0 + profiles[port].jitter * g)
+                ctr[f"{direction}_bytes"] += int(round(offered * scale))
+                ctr[f"{direction}_packets"] = ctr[f"{direction}_bytes"] // 1000
+                ctr[f"{direction}_drops"] += int(round(suppressed))
+            for f in COUNTER_FIELDS:
+                out[port][f].append(ctr[f])
+        clock = t1
+    return out
+
+
+@pytest.mark.parametrize("interval", (10.0, 0.1))
+def test_columnar_kernel_matches_the_scalar_definition(interval):
+    # Several edges per tick, overlapping bursts, anomalies and ramps.
+    u = interval
+    profiles = {
+        1: TrafficProfile(
+            base_rate=70_000.0,
+            jitter=0.3,
+            bursts=(Burst(3.3 * u, 0.2 * u, 2.0), Burst(3.45 * u, 7.1 * u, 1.7)),
+        ),
+        2: TrafficProfile(base_rate=900.0, jitter=0.0),
+    }
+    scenarios = [
+        AnomalyScenario("dropout", 1, 5.25 * u, 9.5 * u, 0.3),
+        AnomalyScenario("spike", 1, 5.5 * u, 0.25 * u, 4.0),
+        AnomalyScenario("drift", 1, 8.1 * u, 6.3 * u, 2.5),
+        AnomalyScenario("drift", 2, 0.5 * u, 12.0 * u, 1.5),
+        AnomalyScenario("dropout", 2, 11.7 * u, 0.1 * u, 0.0),
+    ]
+    n_ticks = 24
+    store = poll(
+        Collector(),
+        [SwitchSim("k", profiles, scenarios, seed=4)],
+        interval=interval,
+        duration=interval * n_ticks,
+    )
+    expected = _reference_columns("k", profiles, scenarios, 4, interval, n_ticks)
+    for port in profiles:
+        for f in COUNTER_FIELDS:
+            assert store.counter_series("k", port, f).tolist() == expected[port][f]
+
+
+def test_tick_pieces_are_added_left_to_right():
+    # One tick in three pieces of 2**53, 1 and 1 bytes.  Adding them left to
+    # right rounds each 1 away (ties to even at a spacing of 2); a pairwise
+    # sum of the last two would add 2.
+    profile = TrafficProfile(
+        base_rate=4.0, bursts=(Burst(0.0, 9.5, 2**53 / 38), Burst(9.75, 5.0, 1.0))
+    )
+    sw = SwitchSim("s1", {1: profile}, seed=0)
+    sw.advance(10.0)
+    assert sw.counters[1].tx_bytes == 2**53
+    assert _reference_volume(profile, [], 0.0, 10.0, True) == 2**53
+
+
+@pytest.mark.parametrize("interval", (10.0, 0.1))
+def test_advance_k_times_equals_poll_over_k_ticks(interval):
+    def build():
+        # Burst and spike edges fall inside ticks 3 and 5.
+        burst = Burst(2.5 * interval, 3.0 * interval, 3.0)
+        profile = steady(jitter=0.2, bursts=[burst])
+        spike = AnomalyScenario("spike", 1, 4.25 * interval, 0.5 * interval, 6.0)
+        return SwitchSim("s1", {1: profile, 2: steady(rate=40.0)}, [spike], seed=8)
+
+    k = 37
+    polled_switch = build()
+    store = poll(Collector(), [polled_switch], interval=interval, duration=interval * k)
+    stepped = build()
+    clock = 0.0
+    for tick in range(k):
+        stepped.advance(interval)
+        clock += interval
+        assert stepped.clock == clock
+        assert store.timestamps("s1", 1)[tick] == clock
+        for port in (1, 2):
+            for f in COUNTER_FIELDS:
+                assert store.counter_series("s1", port, f)[tick] == getattr(
+                    stepped.counters[port], f
+                )
+    assert stepped.counters == polled_switch.counters
+    assert stepped.clock == polled_switch.clock
+
+
+def test_store_hands_out_read_only_arrays():
+    store = poll(Collector(), [SwitchSim("s1", {1: steady()}, seed=0)], duration=30.0)
+    series = store.counter_series("s1", 1, "tx_bytes")
+    assert series is store.counter_series("s1", 1, "tx_bytes")
+    with pytest.raises(ValueError):
+        series[0] = 0
+    with pytest.raises(ValueError):
+        store.timestamps("s1", 1)[0] = 0.0
+    assert series.tolist() == [10_000, 20_000, 30_000]
+
+
+def test_snapshot_rows_match_the_columns():
+    store = poll(Collector(), [make_switch("sw")], interval=10.0, duration=100.0)
+    rows = store.snapshots("sw", 1)
+    assert [s.tick for s in rows] == store.ticks("sw", 1).tolist()
+    assert [s.timestamp_s for s in rows] == store.timestamps("sw", 1).tolist()
+    for f in COUNTER_FIELDS:
+        column = store.counter_series("sw", 1, f).tolist()
+        assert [getattr(s.counters, f) for s in rows] == column
+
+
+def test_select_server_ports_refuses_unknown_keys():
+    sw = SwitchSim("s1", {1: steady(), 2: steady()}, seed=0)
+    store = poll(Collector(), [sw], interval=10.0, duration=30.0)
+    for key in (("s1", 3), ("s2", 1)):
+        with pytest.raises(UnknownPortError):
+            select_server_ports(store, [("s1", 1), key])
+
+
+def test_duplicate_switch_ids_are_refused():
+    with pytest.raises(InputError):
+        poll(Collector(), [make_switch("a"), make_switch("a")], duration=30.0)
