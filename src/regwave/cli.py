@@ -21,8 +21,10 @@ from .errors import (
     FamilyMismatchError,
     InputError,
 )
-from .reducer import ReductionPolicy
-from .reducer import synthesize as synthesize_register
+from .reducer import ReductionPolicy, synthesize_windows
+# No verb calls the single-window form any more, but it stays importable under
+# this name: perfbench's tracer test patches and restores it here.
+from .reducer import synthesize as synthesize_register  # noqa: F401
 from .scenario import load_scenario
 from .telemetry import Collector, deltas, poll, select_server_ports
 from .wavelets import make_filter_pair
@@ -195,14 +197,13 @@ def cmd_synthesize(args) -> int:
         raise FamilyMismatchError(
             f"file was reduced with {meta['family']!r}, not {args.family!r}"
         )
-    indices: list[int] = []
-    values: list[float] = []
-    for w in windows:
-        rebuilt = synthesize_register(w.register, filters)
-        indices.extend(range(w.start, w.start + rebuilt.shape[0]))
-        values.extend(rebuilt)
-    formats.write_series_csv(args.out, values, label="synthesized", indices=indices)
-    print(f"synthesized {len(windows)} window(s), {len(values)} samples, in {args.out}")
+    rebuilt = synthesize_windows([w.register for w in windows], filters)
+    starts = np.array([w.start for w in windows], dtype=np.int64)
+    indices = starts[:, None] + np.arange(rebuilt.shape[1])
+    formats.write_series_csv(
+        args.out, rebuilt.ravel(), label="synthesized", indices=indices.ravel()
+    )
+    print(f"synthesized {len(windows)} window(s), {rebuilt.size} samples, in {args.out}")
     return EXIT_OK
 
 

@@ -62,6 +62,13 @@ class ParseError(InputError):
         self.path = path
         self.line = line
 
+    @classmethod
+    def not_utf8(cls, exc: UnicodeDecodeError, path) -> "ParseError":
+        """Refusal of a file whose bytes, read whole, do not decode as UTF-8;
+        names the line of the first bad byte."""
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        return cls(f"not UTF-8 text: byte {exc.object[exc.start]:#04x}", str(path), line)
+
 
 class MonotonicityError(ContractError):
     pass

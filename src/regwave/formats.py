@@ -8,8 +8,10 @@ exact.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,8 @@ REDUCED_FORMAT = "regwave.reduced/1"
 MODEL_FORMAT = "regwave.model/1"
 
 CSV_HEADER = "tick,timestamp_s,value"
+# Rows per write of write_series_csv.
+SERIES_CHUNK_ROWS = 8192
 
 
 def write_register_csv(path, ticks, timestamps, values) -> None:
@@ -43,17 +47,68 @@ def _write_rows(path, prefixes: list[str], values) -> None:
         fh.write(CSV_HEADER + "\n" + "".join(rows))
 
 
+_REGISTER_ROW = np.dtype(
+    [("tick", np.int64), ("timestamp_s", np.float64), ("value", np.int64)]
+)
+# Bytes that mean the same to numpy's reader and to the per-line reader:
+# digits, signs, decimal point, exponent, the letters of nan/inf/infinity,
+# the comma, space, tab and line ends.  A body with any other byte goes to the
+# per-line reader, because numpy strips \x0b, \x0c, \x1c-\x1f, \x85 and
+# U+2028 around a number, where str.splitlines breaks the line instead, and
+# would accept rows such as "1\x0c,10.0,5" that the per-line reader refuses.
+_PLAIN_BYTES = b"0123456789+-.eEnNaAiIfFtTyY, \t\r\n"
+_INT64_RANGE = range(-(2**63), 2**63)
+
+
 def read_register_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read one exported counter series.
 
+    A file of plain rows is parsed in one pass by numpy's reader.  Anything
+    else, and any row numpy refuses or warns about, goes to the per-line
+    reader, which decides what is accepted and reports the offending line.
+
     Returns:
         (ticks, timestamps, values) arrays; values as int64.
+
+    Raises:
+        ParseError: unreadable or non-UTF-8 file, wrong header, or a row that
+            is not ``int,float,int`` with both integers in the int64 range.
     """
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            body = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read register: {exc}", str(path), 0) from None
+    if header.rstrip(b"\r\n") == CSV_HEADER.encode() and not body.translate(
+        None, _PLAIN_BYTES
+    ):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    io.BytesIO(body),
+                    delimiter=",",
+                    dtype=_REGISTER_ROW,
+                    comments=None,
+                    ndmin=1,
+                )
+        except (ValueError, OverflowError, Warning):
+            pass
+        else:
+            return tuple(np.ascontiguousarray(table[name]) for name in table.dtype.names)
+    return _read_register_rows(path)
+
+
+def _read_register_rows(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-line reader: every row through int() and float()."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read register: {exc}", str(path), 0) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError.not_utf8(exc, path) from None
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ParseError(
             f"expected header {CSV_HEADER!r}", str(path), 1 if lines else 0
@@ -66,11 +121,18 @@ def read_register_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if len(parts) != 3:
             raise ParseError("expected 3 comma-separated fields", str(path), lineno)
         try:
-            ticks.append(int(parts[0]))
-            timestamps.append(float(parts[1]))
-            values.append(int(parts[2]))
+            tick, timestamp, value = int(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError(f"malformed row {line!r}", str(path), lineno) from None
+        if tick not in _INT64_RANGE or value not in _INT64_RANGE:
+            raise ParseError(
+                f"row {line!r} holds an integer outside the int64 range",
+                str(path),
+                lineno,
+            )
+        ticks.append(tick)
+        timestamps.append(timestamp)
+        values.append(value)
     return (
         np.array(ticks, dtype=np.int64),
         np.array(timestamps, dtype=np.float64),
@@ -97,12 +159,20 @@ def export_store(store, out_dir) -> list[str]:
 
 
 def write_series_csv(path, values, label: str = "value", indices=None) -> None:
-    """Two-column plot-ready export: sample index and value."""
+    """Two-column plot-ready export: sample index and value.
+
+    Rows are formatted SERIES_CHUNK_ROWS at a time, so memory stays bounded
+    by one chunk's text however long the series is.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    idx = np.arange(len(values)) if indices is None else np.asarray(indices, dtype=np.int64)
+    n = min(len(values), len(idx))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"index,{label}\n")
-        idx = range(len(values)) if indices is None else indices
-        for i, v in zip(idx, values):
-            fh.write(f"{int(i)},{repr(float(v))}\n")
+        for lo in range(0, n, SERIES_CHUNK_ROWS):
+            hi = min(lo + SERIES_CHUNK_ROWS, n)
+            rows = zip(idx[lo:hi].tolist(), values[lo:hi].tolist())
+            fh.write("".join([f"{i},{v!r}\n" for i, v in rows]))
 
 
 @dataclass(frozen=True)
@@ -233,6 +303,8 @@ def _read_json(path, expected_format: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", str(path), 0) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError.not_utf8(exc, path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", str(path), exc.lineno) from None
     if not isinstance(doc, dict) or doc.get("format") != expected_format:

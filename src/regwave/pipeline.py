@@ -16,7 +16,12 @@ from . import gaussian
 from .errors import AlignmentError, InsufficientDataError
 from .formats import ReducedWindow
 from .metrics import ComparisonReport, build_report
-from .reducer import ReductionPolicy, compression_ratio, decompose, synthesize
+from .reducer import (
+    ReductionPolicy,
+    compression_ratio,
+    decompose_windows,
+    synthesize_windows,
+)
 from .wavelets import FilterPair
 
 
@@ -42,10 +47,12 @@ def reduce_series(
         raise InsufficientDataError(
             f"series of {x.shape[0]} samples holds no {window}-sample window"
         )
-    out = []
-    for index, (start, stop) in enumerate(spans):
-        register = decompose(x[start:stop], filters, policy)
-        out.append(ReducedWindow(index=index, start=start, register=register))
+    matrix = x[: len(spans) * window].reshape(len(spans), window)
+    registers = decompose_windows(matrix, filters, policy)
+    out = [
+        ReducedWindow(index=index, start=start, register=register)
+        for index, ((start, _), register) in enumerate(zip(spans, registers))
+    ]
     return out, dropped
 
 
@@ -104,7 +111,6 @@ def compare_windows(
             )
         model = fit_series_model(x[:train], quantile)
 
-    out = []
     for w in windows:
         stop = w.start + w.register.original_length
         if w.start < 0 or stop > x.shape[0]:
@@ -112,8 +118,10 @@ def compare_windows(
                 f"window {w.index} spans [{w.start}, {stop}) but the series has "
                 f"{x.shape[0]} samples"
             )
-        original = x[w.start : stop]
-        synthesized = synthesize(w.register, filters)
+    rebuilt = synthesize_windows([w.register for w in windows], filters)
+    out = []
+    for w, synthesized in zip(windows, rebuilt):
+        original = x[w.start : w.start + w.register.original_length]
         window_model = model or fit_series_model(original, quantile)
         rep_o = gaussian.detect(window_model, original)
         rep_s = gaussian.detect(window_model, synthesized)

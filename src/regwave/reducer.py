@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FamilyMismatchError, LengthError, PolicyError
-from .wavelets import FilterPair, analysis_step, energy, synthesis_step
+from .wavelets import FilterPair, analysis_step, energies, synthesis_step
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,6 @@ class ReductionPolicy:
             raise PolicyError(
                 f"min_energy_ratio must lie in [0, 1], got {self.min_energy_ratio}"
             )
-
-
-@dataclass(frozen=True)
-class PacketNode:
-    """One block in the packet tree: its path from the root and its content."""
-
-    path: str
-    coeffs: np.ndarray
-    energy: float
 
 
 @dataclass(frozen=True)
@@ -76,75 +67,137 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def decompose(signal, filters: FilterPair, policy: ReductionPolicy) -> ReducedRegister:
-    """Reduce a window to its strongest packet branch.
-
-    The signal length must be a power of two with room for max_depth halvings.
-    Ties in child energy keep the approximation branch.
-    """
+    """Reduce one window to its strongest packet branch; see decompose_windows."""
     x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or not _is_power_of_two(x.shape[0]) or x.shape[0] < 2:
-        raise LengthError(
-            f"window length must be a power of two >= 2, got shape {x.shape}"
-        )
-    if x.shape[0] >> policy.max_depth < 1:
+    if x.ndim != 1:
+        raise LengthError(f"expected one window, got shape {x.shape}")
+    return decompose_windows(x[None, :], filters, policy)[0]
+
+
+def decompose_windows(
+    windows, filters: FilterPair, policy: ReductionPolicy
+) -> list[ReducedRegister]:
+    """Reduce every row of a ``(windows, n)`` matrix to its strongest branch.
+
+    Each level splits all rows still descending at once and keeps, per row,
+    the child holding more energy; ties keep the approximation branch.  A row
+    whose winner falls below the policy's energy floor stops where it is.
+    The window length n must be a power of two with room for max_depth
+    halvings.
+    """
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim != 2:
+        raise LengthError(f"expected a (windows, n) matrix, got shape {x.shape}")
+    if not _is_power_of_two(x.shape[1]) or x.shape[1] < 2:
+        raise LengthError(f"window length must be a power of two >= 2, got {x.shape[1]}")
+    if x.shape[1] >> policy.max_depth < 1:
         raise PolicyError(
-            f"max_depth {policy.max_depth} exceeds log2 of the window length {x.shape[0]}"
+            f"max_depth {policy.max_depth} exceeds log2 of the window length {x.shape[1]}"
         )
 
-    node = PacketNode("", x, energy(x))
-    ledger: list[tuple[float, float]] = []
+    rows = np.arange(x.shape[0])  # rows still descending
+    block, block_energy = x, None
+    levels = []  # per level: (rows, took_high, kept, discarded)
+    finished = []  # (rows, blocks) of rows that stopped early
     for level in range(1, policy.max_depth + 1):
-        approx, detail = analysis_step(node.coeffs, filters)
-        e_lo, e_hi = energy(approx), energy(detail)
-        if e_hi > e_lo:
-            winner = PacketNode(node.path + "H", detail, e_hi)
-            kept, discarded = e_hi, e_lo
-        else:
-            winner = PacketNode(node.path + "L", approx, e_lo)
-            kept, discarded = e_lo, e_hi
+        approx, detail = analysis_step(block, filters)
+        e_lo, e_hi = energies(approx), energies(detail)
+        high = e_hi > e_lo
+        kept = np.where(high, e_hi, e_lo)
+        discarded = np.where(high, e_lo, e_hi)
+        winner = np.where(high[:, None], detail, approx)
         # The energy floor only guards descents past the first level, so the
         # result always carries at least one branch letter.
-        if level > 1 and kept < policy.min_energy_ratio * node.energy:
-            break
-        ledger.append((kept, discarded))
-        node = winner
+        if level > 1:
+            stop = kept < policy.min_energy_ratio * block_energy
+            if stop.any():
+                finished.append((rows[stop], block[stop]))
+                go = ~stop
+                rows, high, kept, discarded, winner = (
+                    rows[go], high[go], kept[go], discarded[go], winner[go]
+                )
+        levels.append((rows, high, kept, discarded))
+        block, block_energy = winner, kept
+    finished.append((rows, block))
 
-    coeffs = node.coeffs.copy()
-    coeffs.setflags(write=False)
-    return ReducedRegister(
-        original_length=x.shape[0],
-        family=filters.family,
-        path=node.path,
-        coeffs=coeffs,
-        sibling_energies=tuple(ledger),
-    )
+    paths = [""] * x.shape[0]
+    ledgers: list[list[tuple[float, float]]] = [[] for _ in paths]
+    for level_rows, high, kept, discarded in levels:
+        for r, h, k, d in zip(
+            level_rows.tolist(), high.tolist(), kept.tolist(), discarded.tolist()
+        ):
+            paths[r] += "H" if h else "L"
+            ledgers[r].append((k, d))
+    coeffs = [None] * x.shape[0]
+    for done_rows, blocks in finished:
+        blocks.setflags(write=False)
+        for r, c in zip(done_rows.tolist(), blocks):
+            coeffs[r] = c
+    return [
+        ReducedRegister(
+            original_length=x.shape[1],
+            family=filters.family,
+            path=path,
+            coeffs=c,
+            sibling_energies=tuple(ledger),
+        )
+        for path, c, ledger in zip(paths, coeffs, ledgers)
+    ]
 
 
 def synthesize(reduced: ReducedRegister, filters: FilterPair) -> np.ndarray:
-    """Rebuild a full-length window from the kept branch.
+    """Rebuild one full-length window; see synthesize_windows."""
+    return synthesize_windows([reduced], filters)[0]
 
-    Discarded siblings enter as zero blocks, so the result is the orthogonal
-    projection of the original window onto the kept branch's subspace.
+
+def synthesize_windows(registers, filters: FilterPair) -> np.ndarray:
+    """Rebuild full-length windows from their kept branches, one per row.
+
+    Discarded siblings enter as zero blocks, so each row is the orthogonal
+    projection of its original window onto the kept branch's subspace.  All
+    registers must rebuild the same length; their depths and paths may differ.
+    A register joins the batch at the level its kept block lives on.
     """
-    if filters.family != reduced.family:
-        raise FamilyMismatchError(
-            f"register was reduced with {reduced.family!r}, not {filters.family!r}"
-        )
-    if any(branch not in "LH" for branch in reduced.path):
-        raise PolicyError(f"path may only contain L and H, got {reduced.path!r}")
-    current = np.asarray(reduced.coeffs, dtype=np.float64)
-    for branch in reversed(reduced.path):
-        zeros = np.zeros_like(current)
-        if branch == "L":
-            current = synthesis_step(current, zeros, filters)
-        else:
-            current = synthesis_step(zeros, current, filters)
-    if current.shape[0] != reduced.original_length:
-        raise LengthError(
-            f"path {reduced.path!r} with {reduced.coeffs.shape[0]} coefficients does "
-            f"not rebuild {reduced.original_length} samples"
-        )
-    return current
+    for reduced in registers:
+        if filters.family != reduced.family:
+            raise FamilyMismatchError(
+                f"register was reduced with {reduced.family!r}, not {filters.family!r}"
+            )
+        if any(branch not in "LH" for branch in reduced.path):
+            raise PolicyError(f"path may only contain L and H, got {reduced.path!r}")
+        if len(reduced.coeffs) << reduced.depth != reduced.original_length:
+            raise LengthError(
+                f"path {reduced.path!r} with {len(reduced.coeffs)} coefficients does "
+                f"not rebuild {reduced.original_length} samples"
+            )
+    lengths = {reduced.original_length for reduced in registers}
+    if len(lengths) > 1:
+        raise LengthError(f"windows of one series must share a length, got {sorted(lengths)}")
+    if not registers:
+        return np.zeros((0, 0))
+
+    # Deepest registers first, so the registers joining at each level append
+    # their rows to the running block.
+    order = sorted(range(len(registers)), key=lambda r: registers[r].depth, reverse=True)
+    ranked = [registers[r] for r in order]
+    current = None
+    joined = 0
+    for level in range(ranked[0].depth, -1, -1):
+        start = joined
+        while joined < len(ranked) and ranked[joined].depth == level:
+            joined += 1
+        if joined > start:
+            fresh = np.array([r.coeffs for r in ranked[start:joined]], dtype=np.float64)
+            current = fresh if current is None else np.concatenate([current, fresh])
+        if level:
+            high = np.array([r.path[level - 1] == "H" for r in ranked[:joined]])[:, None]
+            zeros = np.zeros_like(current)
+            current = synthesis_step(
+                np.where(high, zeros, current), np.where(high, current, zeros), filters
+            )
+    out = np.empty_like(current)
+    out[order] = current
+    return out
 
 
 def compression_ratio(reduced: ReducedRegister) -> float:

@@ -257,4 +257,6 @@ def load_scenario(path) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read scenario: {exc}", str(path), 0) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError.not_utf8(exc, path) from None
     return parse_scenario(text, str(path))

@@ -9,6 +9,7 @@ floating point accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,53 +102,91 @@ def _check_length(n: int, taps: int, what: str) -> None:
         raise LengthError(f"{what} length {n} is shorter than the filter ({taps} taps)")
 
 
+@functools.lru_cache(maxsize=64)
+def _circular_index(taps: int, n: int) -> np.ndarray:
+    """Row k, column i holds ``(2k - i) mod n``: the sample that tap i of
+    output k of an analysis step reads."""
+    k = np.arange(n // 2)
+    idx = (2 * k[:, None] - np.arange(taps)[None, :]) % n
+    idx.setflags(write=False)
+    return idx
+
+
 def analysis_step(signal, filters: FilterPair) -> tuple[np.ndarray, np.ndarray]:
-    """Split a signal into approximation and detail halves.
+    """Split signals into approximation and detail halves along the last axis.
 
     Output sample k of each branch is the circular correlation
     ``sum_i taps[i] * signal[(2k - i) mod N]``, i.e. the even-indexed phase of
-    a periodic convolution.
+    a periodic convolution.  A ``(windows, N)`` matrix is split in one gather
+    and one matrix-vector product per branch over all its rows.  For every
+    power-of-two N each row then equals the split of that row alone bit for
+    bit; for other lengths the BLAS kernel may round rows of a batch
+    differently from a lone window.
 
     Args:
-        signal: even-length 1-D array, at least as long as the filter.
+        signal: array of shape ``(..., N)`` with N even and at least as long
+            as the filter.
 
     Returns:
-        ``(approx, detail)``, each of length ``N // 2``.
+        ``(approx, detail)``, each of shape ``(..., N // 2)``.
     """
     x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise LengthError(f"expected a 1-D signal, got shape {x.shape}")
-    n = x.shape[0]
+    if x.ndim < 1:
+        raise LengthError(f"expected a signal with a sample axis, got shape {x.shape}")
+    n = x.shape[-1]
     _check_length(n, len(filters), "signal")
-    k = np.arange(n // 2)
-    idx = (2 * k[:, None] - np.arange(len(filters))[None, :]) % n
-    windows = x[idx]
-    return windows @ filters.lp, windows @ filters.hp
+    windows = x[..., _circular_index(len(filters), n)].reshape(-1, len(filters))
+    shape = x.shape[:-1] + (n // 2,)
+    if n == 2:
+        # numpy takes a one-row product as a vector dot, which rounds unlike
+        # a matrix-vector product; one dot per window keeps a batch equal to
+        # its windows.
+        windows = windows[:, None, :]
+        return (windows @ filters.lp[:, None]).reshape(shape), (
+            windows @ filters.hp[:, None]
+        ).reshape(shape)
+    return (windows @ filters.lp).reshape(shape), (windows @ filters.hp).reshape(shape)
 
 
 def synthesis_step(approx, detail, filters: FilterPair) -> np.ndarray:
-    """Invert one analysis step.
+    """Invert one analysis step along the last axis.
 
     Adjoint of :func:`analysis_step`: each coefficient scatters its synthesis
-    taps back onto the circular positions it was drawn from.  Exact inverse
-    because the filter bank is orthonormal.
+    taps back onto the circular positions it was drawn from.  Tap i of
+    coefficient k lands on ``(2k - i) mod N``, so one tap feeds every sample
+    of one parity, shifted circularly by ``(i + 1) // 2``: two slice
+    additions per tap, and every sample sums its taps in tap order.  Exact
+    inverse because the filter bank is orthonormal.
     """
     a = np.asarray(approx, dtype=np.float64)
     d = np.asarray(detail, dtype=np.float64)
-    if a.shape != d.shape or a.ndim != 1:
+    if a.shape != d.shape or a.ndim < 1:
         raise LengthError(
             f"approximation and detail shapes differ: {a.shape} vs {d.shape}"
         )
-    half = a.shape[0]
+    half = a.shape[-1]
     n = 2 * half
     if n < len(filters):
         raise LengthError(f"output length {n} is shorter than the filter ({len(filters)} taps)")
-    out = np.zeros(n)
-    k = np.arange(half)
+    # Starting from +0.0 keeps -0.0 out of the result.
+    out = np.zeros(a.shape[:-1] + (n,))
     for i in range(len(filters)):
-        idx = (2 * k - i) % n
-        np.add.at(out, idx, filters.lp[i] * a + filters.hp[i] * d)
+        v = filters.lp[i] * a + filters.hp[i] * d
+        phase = out[..., i % 2 :: 2]
+        shift = (i + 1) // 2 % half
+        phase[..., : half - shift] += v[..., shift:]
+        phase[..., half - shift :] += v[..., :shift]
     return out
+
+
+def energies(blocks) -> np.ndarray:
+    """Sum of squares of every row of a ``(windows, m)`` matrix.
+
+    Each row is one vector dot product, so every entry equals
+    ``energy(row)`` bit for bit.
+    """
+    v = np.asarray(blocks, dtype=np.float64)
+    return (v[:, None, :] @ v[:, :, None]).reshape(v.shape[0])
 
 
 def energy(values) -> float:

@@ -120,6 +120,21 @@ def test_synthesize_rebuilds_all_windows(video_sim, tmp_path):
     assert len(rows) == 1 + 192
 
 
+def test_synthesize_refuses_windows_of_different_lengths(video_sim, tmp_path, capsys):
+    red = tmp_path / "red.json"
+    assert main(
+        ["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "64",
+         "--out", str(red)]
+    ) == 0
+    doc = json.loads(red.read_text())
+    last = doc["windows"][-1]
+    last["original_length"] = 128
+    last["coefficients"] += last["coefficients"]
+    red.write_text(json.dumps(doc))
+    assert main(["synthesize", str(red), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "share a length" in capsys.readouterr().err
+
+
 def test_detect_writes_model_and_flags(video_sim, tmp_path):
     out = tmp_path / "det"
     rc = main(
@@ -267,3 +282,34 @@ def test_conflicting_window_flag_exits_two(video_sim, tmp_path):
          "--window", "256", "--out", str(tmp_path / "c")]
     )
     assert rc == 2
+
+
+def test_counter_beyond_int64_exits_two(tmp_path, capsys):
+    csv = tmp_path / "big.csv"
+    csv.write_text("tick,timestamp_s,value\n1,10.0,5\n2,20.0,99999999999999999999\n")
+    assert main(["reduce", str(csv), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{csv}:3:" in err and "int64" in err
+
+
+def _register(path):
+    path.write_text("tick,timestamp_s,value\n1,10.0,0\n2,20.0,5\n3,30.0,9\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("reg.csv", lambda bad, tmp: ["reduce", bad, "--out", str(tmp / "r.json")]),
+        ("red.json", lambda bad, tmp: ["synthesize", bad, "--out", str(tmp / "s.csv")]),
+        ("model.json", lambda bad, tmp: [
+            "detect", _register(tmp / "ok.csv"), "--model", bad, "--out", str(tmp / "d")]),
+        ("net.scn", lambda bad, tmp: ["simulate", bad, "--out", str(tmp / "sim")]),
+    ],
+)
+def test_non_utf8_input_exits_two(tmp_path, capsys, name, argv):
+    bad = tmp_path / name
+    bad.write_bytes(b"tick,timestamp_s,value\n1,10.0,5\n2,20.0,\xff\n")
+    assert main(argv(str(bad), tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:3: not UTF-8 text: byte 0xff" in err

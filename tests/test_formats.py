@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from regwave import formats
 from regwave.errors import ParseError
 from regwave.formats import (
+    SERIES_CHUNK_ROWS,
     ReducedWindow,
     export_store,
     read_model_file,
@@ -13,6 +15,7 @@ from regwave.formats import (
     write_model_file,
     write_reduced_file,
     write_register_csv,
+    write_series_csv,
 )
 from regwave.gaussian import GaussianModel
 from regwave.reducer import ReductionPolicy, decompose
@@ -166,3 +169,131 @@ def test_zero_duration_store_exports_nothing(tmp_path):
     out = tmp_path / "out"
     assert export_store(store, out) == []
     assert list(out.iterdir()) == []
+
+
+HEADER = "tick,timestamp_s,value\n"
+
+# Bodies under the header: odd but valid rows, rows the per-line reader
+# refuses, and separators numpy's reader treats differently from it.
+READER_CASES = {
+    "plain": "1,10.0,5\n2,20.0,7\n",
+    "no final newline": "1,10.0,5\n2,20.0,7",
+    "empty body": "",
+    "blank lines": "\n1,10.0,5\n\n\n2,20.0,7\n\n",
+    "whitespace-only line": "1,10.0,5\n   \n2,20.0,7\n",
+    "tab-only line": "1,10.0,5\n\t\n",
+    "whitespace-only body": "  \n\t\n",
+    "crlf": "1,10.0,5\r\n2,20.0,7\r\n",
+    "cr only": "1,10.0,5\r2,20.0,7\r",
+    "signs": "+5,-10.5,+5\n",
+    "padded fields": " 5 ,\t10.0 , 5\t\n",
+    "underscore in int": "1_0,10.0,5\n",
+    "underscore in float": "1,1_0.5,5\n",
+    "float in int column": "1,10.0,1.0\n",
+    "exponent in int column": "1,10.0,1e3\n",
+    "trailing comma": "1,10.0,5,\n",
+    "two fields": "1,10.0\n",
+    "empty field": "1,,5\n",
+    "form feed separator": "1,10.0,5\x0c2,20.0,7\n",
+    "form feed inside row": "1\x0c,10.0,5\n",
+    "vertical tab inside row": "1\x0b,10.0,5\n",
+    "file separator inside row": "1\x1c,10.0,5\n",
+    "unit separator after value": "1,10.0,5\x1f\n",
+    "NEL inside row": "1\x85,10.0,5\n",
+    "U+2028 separator": "1,10.0,5\u20282,20.0,7\n",
+    "U+2028 inside row": "1\u2028,10.0,5\n",
+    "no-break space": "1,10.0,\xa05\n",
+    "non-ASCII digit": "1,10.0,\u0665\n",
+    "fullwidth digit": "1,10.0,\uff15\n",
+    "NUL after value": "1,10.0,5\x00\n",
+    "nan timestamp": "1,nan,5\n",
+    "inf timestamps": "1,-inf,5\n2,Infinity,6\n",
+    "nan value": "1,10.0,nan\n",
+    "quoted field": '"1",10.0,5\n',
+    "comment marker": "1,10.0,5#x\n",
+    "int64 bounds": "-9223372036854775808,10.0,9223372036854775807\n",
+    "value beyond int64": "1,10.0,9223372036854775808\n",
+    "tick beyond int64": "99999999999999999999,10.0,5\n",
+    "leading zeros": "007,10.0,007\n",
+    "negative zeros": "-0,-0.0,-0\n",
+}
+
+
+def _outcome(read, path):
+    try:
+        ticks, stamps, values = read(path)
+    except ParseError as exc:
+        return ("refused", exc.line, str(exc))
+    arrays = (ticks, stamps, values)
+    return ("read", [a.dtype.str for a in arrays], [a.tobytes() for a in arrays])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("header", [HEADER, HEADER.replace("\n", "\r\n")])
+@pytest.mark.parametrize("body", READER_CASES.values(), ids=READER_CASES.keys())
+def test_register_reader_matches_the_per_line_reader(tmp_path, header, body):
+    path = tmp_path / "series.csv"
+    path.write_bytes((header + body).encode("utf-8"))
+    assert _outcome(read_register_csv, path) == _outcome(formats._read_register_rows, path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n", "tick,value\n1,2,3\n", " " + HEADER + "1,10.0,5\n"])
+def test_register_reader_matches_the_per_line_reader_on_headers(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    assert _outcome(read_register_csv, path) == _outcome(formats._read_register_rows, path)
+
+
+def test_plain_register_is_read_without_the_per_line_reader(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError("plain rows reached the per-line reader")
+
+    path = tmp_path / "series.csv"
+    write_register_csv(path, [1, 2, 3], [10.0, 20.0, 30.0], [0, 2**62, 2**63 - 1])
+    monkeypatch.setattr(formats, "_read_register_rows", refuse)
+    ticks, stamps, values = read_register_csv(path)
+    assert ticks.tolist() == [1, 2, 3] and stamps.tolist() == [10.0, 20.0, 30.0]
+    assert values.tolist() == [0, 2**62, 2**63 - 1]
+    assert all(a.flags.c_contiguous for a in (ticks, stamps, values))
+
+
+def test_register_value_beyond_int64_names_its_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(HEADER + "1,10.0,5\n2,20.0,99999999999999999999\n")
+    with pytest.raises(ParseError, match="int64") as err:
+        read_register_csv(path)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "read", [read_register_csv, read_reduced_file, read_model_file]
+)
+def test_non_utf8_file_is_a_parse_error(tmp_path, read):
+    path = tmp_path / "bad"
+    path.write_bytes(b'{"format": "regwave.model/1",\n"x": "\xff"}\n')
+    with pytest.raises(ParseError, match="not UTF-8 text: byte 0xff") as err:
+        read(path)
+    assert err.value.line == 2
+
+
+def _per_row_series_csv(path, values, label="value", indices=None):
+    # The row-at-a-time writer the chunked one replaced.
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"index,{label}\n")
+        idx = range(len(values)) if indices is None else indices
+        for i, v in zip(idx, values):
+            fh.write(f"{int(i)},{repr(float(v))}\n")
+
+
+@pytest.mark.parametrize("rows", [0, 1, SERIES_CHUNK_ROWS - 1, SERIES_CHUNK_ROWS, SERIES_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("with_indices", [False, True])
+def test_series_csv_matches_the_per_row_writer(tmp_path, rows, with_indices):
+    rng = np.random.default_rng(rows)
+    values = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-320, 0.1][:rows]
+    values[: len(special)] = special
+    indices = (np.arange(rows) * 3 + 256) if with_indices else None
+    write_series_csv(tmp_path / "new.csv", values, label="synthesized", indices=indices)
+    _per_row_series_csv(tmp_path / "old.csv", values, label="synthesized", indices=indices)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

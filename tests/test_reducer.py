@@ -9,7 +9,9 @@ from regwave.reducer import (
     ReductionPolicy,
     compression_ratio,
     decompose,
+    decompose_windows,
     synthesize,
+    synthesize_windows,
 )
 from regwave.wavelets import analysis_step, energy, make_filter_pair
 
@@ -157,3 +159,88 @@ def test_family_mismatch_refused_at_synthesis():
     red = decompose(np.ones(8), fp, ReductionPolicy(max_depth=1))
     with pytest.raises(FamilyMismatchError):
         synthesize(red, make_filter_pair("db2"))
+
+
+def _lone_decompose(x, fp, depth, floor):
+    # The per-window greedy descent that the batched form replaced.
+    coeffs, path, ledger, node_energy = x, "", [], float(x @ x)
+    for level in range(1, depth + 1):
+        n = len(coeffs)
+        idx = (2 * np.arange(n // 2)[:, None] - np.arange(len(fp))[None, :]) % n
+        approx, detail = coeffs[idx] @ fp.lp, coeffs[idx] @ fp.hp
+        e_lo, e_hi = float(approx @ approx), float(detail @ detail)
+        branch, block, kept, discarded = (
+            ("H", detail, e_hi, e_lo) if e_hi > e_lo else ("L", approx, e_lo, e_hi)
+        )
+        if level > 1 and kept < floor * node_energy:
+            break
+        path, coeffs, node_energy = path + branch, block, kept
+        ledger.append((kept, discarded))
+    return path, coeffs, tuple(ledger)
+
+
+def _lone_synthesize(path, coeffs, fp):
+    current = coeffs
+    for branch in reversed(path):
+        n = 2 * len(current)
+        k = np.arange(len(current))
+        zeros = np.zeros_like(current)
+        a, d = (current, zeros) if branch == "L" else (zeros, current)
+        out = np.zeros(n)
+        for i in range(len(fp)):
+            np.add.at(out, (2 * k - i) % n, fp.lp[i] * a + fp.hp[i] * d)
+        current = out
+    return current
+
+
+def _mixed_windows(rows, n, seed):
+    # Smooth, alternating, noisy and all-zero rows, so both branches win.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-3, 6, size=(rows, 1))
+    x[1::4] = np.cumsum(x[1::4], axis=1)
+    x[2::4] *= (-1.0) ** np.arange(n)
+    x[0] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("family", ("haar", "db2", "db3", "db4"))
+@pytest.mark.parametrize("depth", (1, 2, 3, 4))
+@pytest.mark.parametrize("floor", (0.0, 0.6))
+@pytest.mark.parametrize("rows", (1, 24))
+def test_batched_reduction_equals_lone_windows_bit_for_bit(family, depth, floor, rows):
+    fp = make_filter_pair(family)
+    x = _mixed_windows(rows, 256, depth * 10 + rows)
+    reduced = decompose_windows(x, fp, ReductionPolicy(max_depth=depth, min_energy_ratio=floor))
+    rebuilt = synthesize_windows(reduced, fp)
+    assert rebuilt.shape == x.shape
+    for r, red in enumerate(reduced):
+        path, coeffs, ledger = _lone_decompose(x[r], fp, depth, floor)
+        assert (red.path, red.sibling_energies) == (path, ledger)
+        assert red.coeffs.tobytes() == coeffs.tobytes()
+        assert not red.coeffs.flags.writeable
+        assert rebuilt[r].tobytes() == _lone_synthesize(path, coeffs, fp).tobytes()
+        assert synthesize(red, fp).tobytes() == rebuilt[r].tobytes()
+    assert not np.signbit(rebuilt[0]).any()
+    if rows > 1 and depth > 1:
+        assert len({red.path for red in reduced}) > 1
+
+
+def test_full_depth_haar_batch_equals_lone_windows():
+    # A 2-sample block is split by a one-row product, the corner where a
+    # batch could round differently from a lone window.
+    fp = make_filter_pair("haar")
+    x = _mixed_windows(9, 8, 5)
+    for red, row in zip(decompose_windows(x, fp, ReductionPolicy(max_depth=3)), x):
+        path, coeffs, ledger = _lone_decompose(row, fp, 3, 0.0)
+        assert (red.path, red.coeffs.tobytes(), red.sibling_energies) == (
+            path, coeffs.tobytes(), ledger
+        )
+
+
+def test_synthesize_windows_refuses_mixed_lengths():
+    fp = make_filter_pair("haar")
+    policy = ReductionPolicy(max_depth=1)
+    mixed = [decompose(np.ones(8), fp, policy), decompose(np.ones(16), fp, policy)]
+    with pytest.raises(LengthError, match="share a length"):
+        synthesize_windows(mixed, fp)
+    assert synthesize_windows([], fp).shape == (0, 0)

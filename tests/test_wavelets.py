@@ -7,6 +7,7 @@ from regwave.errors import LengthError, UnknownFamilyError
 from regwave.wavelets import (
     FAMILIES,
     analysis_step,
+    energies,
     energy,
     make_filter_pair,
     synthesis_step,
@@ -175,3 +176,54 @@ def test_taps_are_read_only():
     fp = make_filter_pair("db2")
     with pytest.raises(ValueError):
         fp.lp[0] = 0.0
+
+
+def _lone_analysis(x, fp):
+    # The single-window split: one gather and one product per branch.
+    n = len(x)
+    k = np.arange(n // 2)
+    idx = (2 * k[:, None] - np.arange(len(fp))[None, :]) % n
+    return x[idx] @ fp.lp, x[idx] @ fp.hp
+
+
+def _lone_synthesis(a, d, fp):
+    # The single-window scatter-add that the batched synthesis replaced.
+    n = 2 * len(a)
+    out = np.zeros(n)
+    k = np.arange(len(a))
+    for i in range(len(fp)):
+        np.add.at(out, (2 * k - i) % n, fp.lp[i] * a + fp.hp[i] * d)
+    return out
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [
+        (family, n)
+        for family in FAMILIES
+        for n in (2, 4, 8, 16, 64, 256)
+        if n >= len(make_filter_pair(family))
+    ],
+)
+@pytest.mark.parametrize("rows", (1, 3, 37))
+def test_batched_steps_equal_lone_windows_bit_for_bit(family, n, rows):
+    fp = make_filter_pair(family)
+    rng = np.random.default_rng(n + rows)
+    x = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-5, 8, size=(rows, 1))
+    x[0] = 0.0
+    approx, detail = analysis_step(x, fp)
+    rebuilt = synthesis_step(approx, detail, fp)
+    for r in range(rows):
+        a, d = _lone_analysis(x[r], fp)
+        assert approx[r].tobytes() == a.tobytes() and detail[r].tobytes() == d.tobytes()
+        lone = _lone_synthesis(approx[r], detail[r], fp)
+        assert rebuilt[r].tobytes() == lone.tobytes()
+    assert not np.signbit(rebuilt[0]).any()
+    assert not np.signbit(synthesis_step(np.zeros(n // 2), -np.zeros(n // 2), fp)).any()
+
+
+def test_row_energies_equal_the_dot_product_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 5, 64, 1000):
+        blocks = rng.normal(size=(9, m)) * 1e3
+        assert energies(blocks).tolist() == [float(v @ v) for v in blocks]
