@@ -198,12 +198,13 @@ def cmd_synthesize(args) -> int:
             f"file was reduced with {meta['family']!r}, not {args.family!r}"
         )
     rebuilt = synthesize_windows([w.register for w in windows], filters)
-    starts = np.array([w.start for w in windows], dtype=np.int64)
-    indices = starts[:, None] + np.arange(rebuilt.shape[1])
-    formats.write_series_csv(
-        args.out, rebuilt.ravel(), label="synthesized", indices=indices.ravel()
+    values = np.concatenate([np.zeros(0), *rebuilt])
+    indices = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [np.arange(w.start, w.start + len(r)) for w, r in zip(windows, rebuilt)]
     )
-    print(f"synthesized {len(windows)} window(s), {rebuilt.size} samples, in {args.out}")
+    formats.write_series_csv(args.out, values, label="synthesized", indices=indices)
+    print(f"synthesized {len(windows)} window(s), {values.size} samples, in {args.out}")
     return EXIT_OK
 
 

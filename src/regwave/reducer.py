@@ -116,6 +116,10 @@ def decompose_windows(
                 rows, high, kept, discarded, winner = (
                     rows[go], high[go], kept[go], discarded[go], winner[go]
                 )
+                if not rows.size:
+                    # Every row stopped: the next level's block may be
+                    # shorter than the filter, so it is never split.
+                    break
         levels.append((rows, high, kept, discarded))
         block, block_energy = winner, kept
     finished.append((rows, block))
@@ -150,13 +154,13 @@ def synthesize(reduced: ReducedRegister, filters: FilterPair) -> np.ndarray:
     return synthesize_windows([reduced], filters)[0]
 
 
-def synthesize_windows(registers, filters: FilterPair) -> np.ndarray:
-    """Rebuild full-length windows from their kept branches, one per row.
+def synthesize_windows(registers, filters: FilterPair) -> list[np.ndarray]:
+    """Rebuild full-length windows from their kept branches, in input order.
 
-    Discarded siblings enter as zero blocks, so each row is the orthogonal
-    projection of its original window onto the kept branch's subspace.  All
-    registers must rebuild the same length; their depths and paths may differ.
-    A register joins the batch at the level its kept block lives on.
+    Discarded siblings enter as zero blocks, so each window is the orthogonal
+    projection of its original window onto the kept branch's subspace.
+    Registers that rebuild the same length are rebuilt as one batch whatever
+    their depths and paths; the returned arrays are rows of that batch.
     """
     for reduced in registers:
         if filters.family != reduced.family:
@@ -170,12 +174,22 @@ def synthesize_windows(registers, filters: FilterPair) -> np.ndarray:
                 f"path {reduced.path!r} with {len(reduced.coeffs)} coefficients does "
                 f"not rebuild {reduced.original_length} samples"
             )
-    lengths = {reduced.original_length for reduced in registers}
-    if len(lengths) > 1:
-        raise LengthError(f"windows of one series must share a length, got {sorted(lengths)}")
-    if not registers:
-        return np.zeros((0, 0))
+    by_length: dict[int, list[int]] = {}
+    for r, reduced in enumerate(registers):
+        by_length.setdefault(reduced.original_length, []).append(r)
+    out = [None] * len(registers)
+    for rows in by_length.values():
+        batch = _synthesize_batch([registers[r] for r in rows], filters)
+        for r, window in zip(rows, batch):
+            out[r] = window
+    return out
 
+
+def _synthesize_batch(registers, filters: FilterPair) -> np.ndarray:
+    """Rebuild registers of one original length as the rows of a matrix.
+
+    A register joins the batch at the level its kept block lives on.
+    """
     # Deepest registers first, so the registers joining at each level append
     # their rows to the running block.
     order = sorted(range(len(registers)), key=lambda r: registers[r].depth, reverse=True)

@@ -120,19 +120,27 @@ def test_synthesize_rebuilds_all_windows(video_sim, tmp_path):
     assert len(rows) == 1 + 192
 
 
-def test_synthesize_refuses_windows_of_different_lengths(video_sim, tmp_path, capsys):
+def test_windows_of_different_lengths_synthesize_and_compare(video_sim, tmp_path):
+    register = str(video_sim / "s1_p1_tx_bytes.csv")
     red = tmp_path / "red.json"
-    assert main(
-        ["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "64",
-         "--out", str(red)]
-    ) == 0
+    assert main(["reduce", register, "--window", "64", "--out", str(red)]) == 0
+    assert main(["synthesize", str(red), "--out", str(tmp_path / "all.csv")]) == 0
     doc = json.loads(red.read_text())
-    last = doc["windows"][-1]
-    last["original_length"] = 128
-    last["coefficients"] += last["coefficients"]
-    red.write_text(json.dumps(doc))
-    assert main(["synthesize", str(red), "--out", str(tmp_path / "s.csv")]) == 2
-    assert "share a length" in capsys.readouterr().err
+    first = doc["windows"][0]
+    first["original_length"] = 32
+    first["coefficients"] = first["coefficients"][:16]
+    first["sibling_energies"] = first["sibling_energies"][:1]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(doc))
+    assert main(["synthesize", str(mixed), "--out", str(tmp_path / "mixed.csv")]) == 0
+    rows = (tmp_path / "mixed.csv").read_text().splitlines()
+    full = (tmp_path / "all.csv").read_text().splitlines()
+    assert len(rows) == 1 + 32 + 128
+    assert [r.split(",")[0] for r in rows[1:33]] == [str(i) for i in range(32)]
+    assert rows[33:] == full[65:]
+    assert main(["compare", register, str(mixed), "--out", str(tmp_path / "c")]) == 0
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert [w["index"] for w in report["windows"]] == [0, 1, 2]
 
 
 def test_detect_writes_model_and_flags(video_sim, tmp_path):

@@ -212,7 +212,7 @@ def test_batched_reduction_equals_lone_windows_bit_for_bit(family, depth, floor,
     x = _mixed_windows(rows, 256, depth * 10 + rows)
     reduced = decompose_windows(x, fp, ReductionPolicy(max_depth=depth, min_energy_ratio=floor))
     rebuilt = synthesize_windows(reduced, fp)
-    assert rebuilt.shape == x.shape
+    assert [window.shape for window in rebuilt] == [x.shape[1:]] * rows
     for r, red in enumerate(reduced):
         path, coeffs, ledger = _lone_decompose(x[r], fp, depth, floor)
         assert (red.path, red.sibling_energies) == (path, ledger)
@@ -237,10 +237,37 @@ def test_full_depth_haar_batch_equals_lone_windows():
         )
 
 
-def test_synthesize_windows_refuses_mixed_lengths():
-    fp = make_filter_pair("haar")
-    policy = ReductionPolicy(max_depth=1)
-    mixed = [decompose(np.ones(8), fp, policy), decompose(np.ones(16), fp, policy)]
-    with pytest.raises(LengthError, match="share a length"):
-        synthesize_windows(mixed, fp)
-    assert synthesize_windows([], fp).shape == (0, 0)
+@pytest.mark.parametrize("family, n", (("db2", 8), ("db4", 16)))
+@pytest.mark.parametrize("floor", (0.6, 0.9))
+def test_floor_stopping_every_window_never_splits_a_block_shorter_than_the_filter(
+    family, n, floor
+):
+    # At depth 3 the block of level 3 is shorter than the filter; windows the
+    # floor stops at level 2 never reach it, alone or in a batch.
+    fp = make_filter_pair(family)
+    x = np.random.default_rng(7).normal(size=(64, n))
+    x = x[[len(_lone_decompose(row, fp, 2, floor)[0]) == 1 for row in x]]
+    assert len(x) >= 4
+    policy = ReductionPolicy(max_depth=3, min_energy_ratio=floor)
+    batch = decompose_windows(x, fp, policy)
+    for row, red in zip(x, batch):
+        path, coeffs, ledger = _lone_decompose(row, fp, 3, floor)
+        lone = decompose(row, fp, policy)
+        for got in (red, lone):
+            assert (got.path, got.coeffs.tobytes(), got.sibling_energies) == (
+                path, coeffs.tobytes(), ledger
+            )
+
+
+def test_synthesize_windows_rebuilds_mixed_lengths_in_input_order():
+    fp = make_filter_pair("db2")
+    rng = np.random.default_rng(3)
+    reduced = [
+        decompose(rng.normal(size=n), fp, ReductionPolicy(max_depth=depth))
+        for n, depth in ((16, 1), (32, 2), (16, 2), (8, 1), (32, 1))
+    ]
+    rebuilt = synthesize_windows(reduced, fp)
+    assert [len(window) for window in rebuilt] == [16, 32, 16, 8, 32]
+    for red, window in zip(reduced, rebuilt):
+        assert window.tobytes() == _lone_synthesize(red.path, red.coeffs, fp).tobytes()
+    assert synthesize_windows([], fp) == []
