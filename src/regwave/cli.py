@@ -16,11 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, formats, gaussian, pipeline
-from .errors import (
-    ContractError,
-    FamilyMismatchError,
-    InputError,
-)
+from .errors import ContractError, InputError
 from .reducer import ReductionPolicy, synthesize_windows
 # No verb calls the single-window form any more, but it stays importable under
 # this name: perfbench's tracer test patches and restores it here.
@@ -190,13 +186,21 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _check_flags_agree(args, meta) -> None:
+    """Refuse a --family, --window or --depth that contradicts a reduced file."""
+    for flag, key in (("family", "family"), ("window", "window_size"), ("depth", "depth")):
+        given = getattr(args, flag)
+        if given is not None and given != meta[key]:
+            raise InputError(
+                f"--{flag} {given!r} conflicts with the reduced file's "
+                f"{key} {meta[key]!r}"
+            )
+
+
 def cmd_synthesize(args) -> int:
     meta, windows = formats.read_reduced_file(args.reduced)
+    _check_flags_agree(args, meta)
     filters = make_filter_pair(meta["family"])
-    if args.family is not None and args.family != meta["family"]:
-        raise FamilyMismatchError(
-            f"file was reduced with {meta['family']!r}, not {args.family!r}"
-        )
     rebuilt = synthesize_windows([w.register for w in windows], filters)
     values = np.concatenate([np.zeros(0), *rebuilt])
     indices = np.concatenate(
@@ -235,7 +239,7 @@ def cmd_detect(args) -> int:
         label="probability",
     )
     formats.write_series_csv(
-        os.path.join(args.out, "flags.csv"), report.flags.astype(float), label="flag"
+        os.path.join(args.out, "flags.csv"), report.flags, label="flag"
     )
     flagged = report.flagged_indices()
     print(
@@ -249,13 +253,7 @@ def cmd_compare(args) -> int:
     _, _, counters = formats.read_register_csv(args.register)
     series = deltas(counters).astype(np.float64)
     meta, windows = formats.read_reduced_file(args.reduced)
-    for flag, key in (("family", "family"), ("window", "window_size"), ("depth", "depth")):
-        given = getattr(args, flag)
-        if given is not None and given != meta[key]:
-            raise InputError(
-                f"--{flag} {given!r} conflicts with the reduced file's "
-                f"{key} {meta[key]!r}"
-            )
+    _check_flags_agree(args, meta)
     filters = make_filter_pair(meta["family"])
     model = None
     if args.model:

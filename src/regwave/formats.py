@@ -8,8 +8,10 @@ exact.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -33,18 +35,97 @@ def write_register_csv(path, ticks, timestamps, values) -> None:
     _write_rows(path, _row_prefixes(ticks, timestamps), values)
 
 
-def _row_prefixes(ticks, timestamps) -> list[str]:
-    """The ``tick,timestamp_s,`` start of every register row."""
-    stamps = np.asarray(timestamps, dtype=np.float64).tolist()
-    ticks = np.asarray(ticks, dtype=np.int64).tolist()
-    return [f"{tick},{ts!r}," for tick, ts in zip(ticks, stamps)]
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """Four ASCII digits per uint32 entry, built on first use.
+
+    Entry r (r < 10000) is r as "0000".."9999"; entry 10000 + r is r as the
+    leading group of a number: right-aligned, NUL-padded, and 0 all NUL.
+    """
+    r = np.arange(10000, dtype=np.uint32)[:, None]
+    place = np.array([1000, 100, 10, 1], dtype=np.uint32)
+    digits = r // place % 10 + ord("0")
+    leading = np.where(r >= place, digits, 0)
+    table = np.concatenate([digits, leading]).astype(np.uint8).view(np.uint32).ravel()
+    table.setflags(write=False)
+    return table
 
 
-def _write_rows(path, prefixes: list[str], values) -> None:
-    values = np.asarray(values, dtype=np.int64).tolist()
-    rows = [f"{p}{v}\n" for p, v in zip(prefixes, values)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n" + "".join(rows))
+# 10**1 .. 10**19: searchsorted counts the digits of a uint64 magnitude.
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+_NL = np.array([[ord("\n")]], dtype=np.uint8)
+_COMMA = np.array([[ord(",")]], dtype=np.uint8)
+_POINT_ZERO = np.array([[ord("."), ord("0")]], dtype=np.uint8)
+
+
+def _int_text(values) -> np.ndarray:
+    """Decimal text of an int64 array as an (n, w) uint8 matrix.
+
+    Row i is ``str(values[i])`` right-aligned and NUL-padded on the left; w is
+    the width of the widest value.  Digits are taken four at a time from a
+    table, on the magnitude as uint64 so that INT64_MIN is exact.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    rows = np.flatnonzero(values < 0)
+    mag = values.view(np.uint64).copy()
+    mag[rows] = -mag[rows]
+    neg_digits = np.searchsorted(_POW10, mag[rows], side="right") + 1
+    width = max(len(str(int(mag.max(initial=0)))), int(neg_digits.max(initial=0)) + 1)
+    groups = -(-width // 4)
+    table = _digit_table()
+    words = np.empty((values.shape[0], groups), dtype=np.uint32)
+    for g in range(groups - 1, -1, -1):
+        rest = mag // np.uint64(10000)
+        # With nothing left above it, a group is the number's leading group.
+        lead = (rest == 0) * np.uint64(10000)
+        words[:, g] = table.take(mag - rest * np.uint64(10000) + lead)
+        mag = rest
+    text = words.view(np.uint8)
+    cols = 4 * groups
+    # The leading-group entry of 0 is all NUL; a zero value keeps one digit.
+    text[values == 0, cols - 1] = ord("0")
+    text[rows, cols - 1 - neg_digits] = ord("-")
+    return text[:, cols - width:]
+
+
+def _float_text(values) -> np.ndarray:
+    """``repr`` of a float64 array as a NUL-padded uint8 matrix.
+
+    Integral values below 2**53 (other than -0.0) print as their integer plus
+    ``.0`` and take the integer kernel; any other value sends the whole array
+    through ``repr`` one value at a time.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    integral = (np.abs(values) < 2.0**53) & (values == np.trunc(values))
+    if integral.all() and not np.signbit(values[values == 0]).any():
+        return _columns(_int_text(values.astype(np.int64)), _POINT_ZERO)
+    text = np.array([repr(v) for v in values.tolist()], dtype=np.bytes_)
+    return text.view(np.uint8).reshape(values.shape[0], -1)
+
+
+def _columns(*parts) -> np.ndarray:
+    """uint8 matrices side by side; the first sets the number of rows, and
+    1-row parts after it repeat on every row."""
+    n = parts[0].shape[0]
+    return np.concatenate([np.broadcast_to(p, (n, p.shape[1])) for p in parts], axis=1)
+
+
+def _text(matrix) -> bytes:
+    """The bytes of a NUL-padded text matrix, row by row, padding dropped.
+
+    CSV text holds no NUL, so dropping every NUL drops only padding."""
+    return matrix.tobytes().replace(b"\0", b"")
+
+
+def _row_prefixes(ticks, timestamps) -> np.ndarray:
+    """The ``tick,timestamp_s,`` start of every register row, as text rows."""
+    return _columns(_int_text(ticks), _COMMA, _float_text(timestamps), _COMMA)
+
+
+def _write_rows(path, prefixes: np.ndarray, values) -> None:
+    body = _text(_columns(prefixes, _int_text(values), _NL))
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n" + body)
 
 
 _REGISTER_ROW = np.dtype(
@@ -161,18 +242,29 @@ def export_store(store, out_dir) -> list[str]:
 def write_series_csv(path, values, label: str = "value", indices=None) -> None:
     """Two-column plot-ready export: sample index and value.
 
-    Rows are formatted SERIES_CHUNK_ROWS at a time, so memory stays bounded
-    by one chunk's text however long the series is.
+    Floats print with ``repr``; a boolean series prints the same text,
+    ``0.0``/``1.0``, through the integer kernel.  Rows are formatted
+    SERIES_CHUNK_ROWS at a time, so memory stays bounded by one chunk's text
+    however long the series is.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
+    if values.dtype != np.bool_:
+        values = np.asarray(values, dtype=np.float64)
     idx = np.arange(len(values)) if indices is None else np.asarray(indices, dtype=np.int64)
     n = min(len(values), len(idx))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"index,{label}\n")
         for lo in range(0, n, SERIES_CHUNK_ROWS):
             hi = min(lo + SERIES_CHUNK_ROWS, n)
-            rows = zip(idx[lo:hi].tolist(), values[lo:hi].tolist())
-            fh.write("".join([f"{i},{v!r}\n" for i, v in rows]))
+            fh.write(_series_rows(idx[lo:hi], values[lo:hi]))
+
+
+def _series_rows(idx, values) -> str:
+    if values.dtype == np.bool_:
+        digit = values.view(np.uint8)[:, None] + np.uint8(ord("0"))
+        return _text(_columns(_int_text(idx), _COMMA, digit, _POINT_ZERO, _NL)).decode()
+    rows = zip(idx.tolist(), values.tolist())
+    return "".join([f"{i},{v!r}\n" for i, v in rows])
 
 
 @dataclass(frozen=True)
@@ -246,6 +338,14 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedWindow]]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed window entry: {exc}", str(path), 0) from None
+        if not np.isfinite(register.coeffs).all():
+            raise ParseError(
+                f"window {window.index}: non-finite coefficients", str(path), 0
+            )
+        if not all(math.isfinite(e) for pair in register.sibling_energies for e in pair):
+            raise ParseError(
+                f"window {window.index}: non-finite sibling_energies", str(path), 0
+            )
         if any(branch not in "LH" for branch in register.path) or not register.path:
             raise ParseError(f"bad path {register.path!r}", str(path), 0)
         expected = register.original_length >> len(register.path)

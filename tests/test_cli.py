@@ -120,6 +120,57 @@ def test_synthesize_rebuilds_all_windows(video_sim, tmp_path):
     assert len(rows) == 1 + 192
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--depth", "5"], "--depth 5 conflicts with the reduced file's depth 1"),
+        (["--window", "128"], "--window 128 conflicts with the reduced file's window_size 64"),
+        (["--family", "db4"], "--family 'db4' conflicts with the reduced file's family 'db2'"),
+    ],
+    ids=["depth", "window", "family"],
+)
+def test_synthesize_refuses_flags_that_contradict_the_reduced_file(
+    video_sim, tmp_path, capsys, flags, message
+):
+    red = tmp_path / "red.json"
+    out = tmp_path / "synth.csv"
+    assert main(
+        ["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "64",
+         "--out", str(red)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["synthesize", str(red), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synthesize_accepts_flags_that_agree_with_the_reduced_file(video_sim, tmp_path):
+    red = tmp_path / "red.json"
+    assert main(
+        ["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "64",
+         "--depth", "2", "--out", str(red)]
+    ) == 0
+    assert main(
+        ["synthesize", str(red), "--family", "db2", "--depth", "2", "--window", "64",
+         "--out", str(tmp_path / "synth.csv")]
+    ) == 0
+
+
+def test_non_finite_coefficient_exits_two(video_sim, tmp_path, capsys):
+    red = tmp_path / "red.json"
+    assert main(
+        ["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "64",
+         "--out", str(red)]
+    ) == 0
+    doc = json.loads(red.read_text())
+    doc["windows"][2]["coefficients"][5] = float("nan")
+    red.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["synthesize", str(red), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "window 2: non-finite coefficients" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_windows_of_different_lengths_synthesize_and_compare(video_sim, tmp_path):
     register = str(video_sim / "s1_p1_tx_bytes.csv")
     red = tmp_path / "red.json"

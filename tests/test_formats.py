@@ -19,7 +19,14 @@ from regwave.formats import (
 )
 from regwave.gaussian import GaussianModel
 from regwave.reducer import ReductionPolicy, decompose
-from regwave.telemetry import Collector, SwitchSim, TrafficProfile, poll
+from regwave.telemetry import (
+    COUNTER_FIELDS,
+    Collector,
+    RegisterStore,
+    SwitchSim,
+    TrafficProfile,
+    poll,
+)
 from regwave.wavelets import make_filter_pair
 
 
@@ -116,6 +123,39 @@ def test_reduced_file_rejects_inconsistent_entries(tmp_path):
     doc["windows"][0]["path"] = "LX"
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="path"):
+        read_reduced_file(path)
+
+
+@pytest.mark.parametrize(
+    "key,position,value",
+    [
+        ("coefficients", 3, float("nan")),
+        ("coefficients", 0, float("inf")),
+        ("sibling_energies", (1, 0), float("nan")),
+        ("sibling_energies", (0, 1), float("-inf")),
+    ],
+)
+def test_reduced_file_rejects_non_finite_numbers(tmp_path, key, position, value):
+    path = tmp_path / "red.json"
+    write_reduced_file(
+        path,
+        _sample_windows(),
+        family="db2",
+        window_size=64,
+        depth=2,
+        min_energy_ratio=0.0,
+        source="series.csv",
+        total_samples=192,
+        dropped_samples=0,
+    )
+    doc = json.loads(path.read_text())
+    entry = doc["windows"][1][key]
+    if isinstance(position, tuple):
+        entry[position[0]][position[1]] = value
+    else:
+        entry[position] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"window 1: non-finite {key}"):
         read_reduced_file(path)
 
 
@@ -297,3 +337,133 @@ def test_series_csv_matches_the_per_row_writer(tmp_path, rows, with_indices):
     write_series_csv(tmp_path / "new.csv", values, label="synthesized", indices=indices)
     _per_row_series_csv(tmp_path / "old.csv", values, label="synthesized", indices=indices)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, SERIES_CHUNK_ROWS - 1, SERIES_CHUNK_ROWS, SERIES_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("with_indices", [False, True])
+def test_boolean_series_csv_matches_the_per_row_writer(tmp_path, rows, with_indices):
+    flags = np.random.default_rng(rows).random(rows) < 0.3
+    indices = (np.arange(rows) * 7 - 40) if with_indices else None
+    write_series_csv(tmp_path / "new.csv", flags, label="flag", indices=indices)
+    _per_row_series_csv(tmp_path / "old.csv", flags.astype(float), label="flag", indices=indices)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _decoded(text):
+    """The rows of an _int_text matrix as str, checking the NUL padding."""
+    rows = []
+    for row in text:
+        raw = row.tobytes()
+        digits = raw.lstrip(b"\0")
+        assert b"\0" not in digits
+        rows.append(digits.decode())
+    return rows
+
+
+def test_int_text_equals_str_at_the_edges():
+    values = [0, 1, -1, INT64_MIN, INT64_MAX]
+    for k in range(1, 19):
+        values += [10**k, -(10**k), 10**k - 1, -(10**k - 1)]
+    for value in values:
+        text = formats._int_text(np.array([value], dtype=np.int64))
+        assert text.dtype == np.uint8
+        assert text.shape == (1, len(str(value)))
+        assert _decoded(text) == [str(value)]
+    text = formats._int_text(np.array(values, dtype=np.int64))
+    assert text.shape == (len(values), max(len(str(v)) for v in values))
+    assert _decoded(text) == [str(v) for v in values]
+
+
+def test_int_text_equals_str_on_random_int64():
+    rng = np.random.default_rng(0)
+    values = rng.integers(INT64_MIN, INT64_MAX, size=200_000, dtype=np.int64, endpoint=True)
+    values[:1000] //= 10 ** rng.integers(0, 19, size=1000)
+    text = formats._int_text(values)
+    assert text.shape[1] == max(len(str(v)) for v in values.tolist())
+    assert _decoded(text) == [str(v) for v in values.tolist()]
+
+
+def test_int_text_of_an_empty_array():
+    text = formats._int_text(np.zeros(0, dtype=np.int64))
+    assert text.dtype == np.uint8 and text.shape[0] == 0
+
+
+def _per_row_register_csv(path, ticks, timestamps, values):
+    # The row-at-a-time writer the text kernel replaced.
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("tick,timestamp_s,value\n")
+        for tick, ts, value in zip(ticks, timestamps, values):
+            fh.write(f"{int(tick)},{float(ts)!r},{int(value)}\n")
+
+
+def _per_row_export(store, out_dir):
+    out_dir.mkdir()
+    for switch_id, port in store.keys():
+        for field_name in COUNTER_FIELDS:
+            _per_row_register_csv(
+                out_dir / f"{switch_id}_p{port}_{field_name}.csv",
+                store.ticks(switch_id, port),
+                store.timestamps(switch_id, port),
+                store.counter_series(switch_id, port, field_name),
+            )
+
+
+def _same_tree(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("interval,duration", [(10.0, 600.0), (0.1, 30.0), (0.3, 30.0), (10.0, 0.0)])
+def test_export_store_matches_the_per_row_writer(tmp_path, interval, duration):
+    switches = [
+        SwitchSim("s1", {1: TrafficProfile(base_rate=1e5, jitter=0.2), 2: TrafficProfile(base_rate=40.0)}, seed=3),
+        SwitchSim("s2", {7: TrafficProfile(base_rate=3e9, jitter=0.5)}, seed=4),
+    ]
+    store = poll(Collector(), switches, interval=interval, duration=duration)
+    written = export_store(store, tmp_path / "new")
+    _per_row_export(store, tmp_path / "old")
+    assert len(written) == 8 * len(store)
+    _same_tree(tmp_path / "new", tmp_path / "old")
+
+
+def _store_of(timestamps, rng):
+    store = RegisterStore()
+    n = len(timestamps)
+    columns = {
+        name: rng.integers(-(10**k), 10**k, size=n, dtype=np.int64)
+        for k, name in enumerate(COUNTER_FIELDS, start=1)
+    }
+    columns[COUNTER_FIELDS[0]][:2] = [INT64_MIN, INT64_MAX][:n]
+    store.add("sw", 1, np.array(timestamps, dtype=np.float64), columns)
+    return store
+
+
+TIMESTAMP_CASES = {
+    "empty": [],
+    "integral": [0.0, 10.0, -30.0, 2.0**53 - 2, -(2.0**53) + 2],
+    "negative zero": [-0.0, 10.0],
+    "beyond 2**53": [10.0, 2.0**53 + 2],
+    "exponent form": [10.0, 1e16, -1e16],
+    "nan": [10.0, float("nan")],
+    "inf": [float("inf"), float("-inf"), 10.0],
+    "fractions": [0.1, 0.30000000000000004, 5e-324, 1e-5, 123456.789],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIMESTAMP_CASES))
+def test_register_csv_matches_the_per_row_writer(tmp_path, case):
+    rng = np.random.default_rng(len(case))
+    store = _store_of(TIMESTAMP_CASES[case], rng)
+    export_store(store, tmp_path / "new")
+    _per_row_export(store, tmp_path / "old")
+    _same_tree(tmp_path / "new", tmp_path / "old")
+    ticks, stamps = store.ticks("sw", 1), store.timestamps("sw", 1)
+    values = store.counter_series("sw", 1, COUNTER_FIELDS[0])
+    write_register_csv(tmp_path / "one.csv", ticks, stamps, values)
+    _per_row_register_csv(tmp_path / "ref.csv", ticks, stamps, values)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -38,6 +38,14 @@ SIMULATE_DIGESTS = {
         "54e3788ad976553679c4105181d0e5c6d2dfc54ad96a47039f8a5636324413b1",
 }
 
+# The fixture polled every 0.1 s: its timestamps are not integral
+# (0.30000000000000004), which no export at 10 s exercises.  Recorded on the
+# row-at-a-time f-string writer that the CSV text kernel replaced.
+SIMULATE_INTERVAL_DIGESTS = {
+    ("golden-fleet.scn", 0, "0.1"):
+        "22f9d111a9867c5d1b78683010716a8df81602d6ab308687dabcef4abc3a2a75",
+}
+
 SPIKE_DEMO_REDUCED = "6b7bff7abee0441db9c714c75f371622059c92cc9b339706279a05fc577831b6"
 SPIKE_DEMO_REPORT = "41b3835cbc00b7cbbcd325d0161ae5dc2e5a226f4fc6a5ff131e1dac5063ba82"
 
@@ -64,9 +72,10 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def simulate_digest(name: str, seed: int, out: Path) -> str:
+def simulate_digest(name: str, seed: int, out: Path, *flags: str) -> str:
     with _scenario_path(name) as scn:
-        assert main(["simulate", str(scn), "--seed", str(seed), "--out", str(out)]) == 0
+        argv = ["simulate", str(scn), "--seed", str(seed), "--out", str(out), *flags]
+        assert main(argv) == 0
     return tree_digest(out)
 
 
@@ -90,6 +99,14 @@ def spike_demo_digests(workdir: Path, monkeypatch) -> tuple[str, str]:
 def test_simulate_exports_are_byte_identical(name, seed, tmp_path):
     digest = simulate_digest(name, seed, tmp_path / "sim")
     assert digest == SIMULATE_DIGESTS[(name, seed)]
+
+
+@pytest.mark.parametrize("name,seed,interval", sorted(SIMULATE_INTERVAL_DIGESTS))
+def test_simulate_exports_at_other_intervals_are_byte_identical(
+    name, seed, interval, tmp_path
+):
+    digest = simulate_digest(name, seed, tmp_path / "sim", "--interval", interval)
+    assert digest == SIMULATE_INTERVAL_DIGESTS[(name, seed, interval)]
 
 
 def test_spike_demo_reduce_and_compare_are_byte_identical(tmp_path, monkeypatch):
