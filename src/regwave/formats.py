@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .reducer import ReducedRegister
+from .reducer import ReducedRegister, _is_power_of_two
 from .gaussian import GaussianModel
 from .wavelets import FAMILIES
 
@@ -348,6 +348,20 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedWindow]]:
             )
         if any(branch not in "LH" for branch in register.path) or not register.path:
             raise ParseError(f"bad path {register.path!r}", str(path), 0)
+        if len(register.sibling_energies) != register.depth:
+            raise ParseError(
+                f"window {window.index}: {len(register.sibling_energies)} "
+                f"sibling_energies pairs for path {register.path!r}",
+                str(path),
+                0,
+            )
+        if register.original_length < 2 or not _is_power_of_two(register.original_length):
+            raise ParseError(
+                f"window {window.index}: original_length {register.original_length} "
+                "is not a power of two >= 2",
+                str(path),
+                0,
+            )
         expected = register.original_length >> len(register.path)
         if register.coeffs.shape[0] != expected:
             raise ParseError(

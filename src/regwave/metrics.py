@@ -2,36 +2,50 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthError, UndefinedMetricError
+from .wavelets import energies
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(a, dtype=np.float64).ravel()
     y = np.asarray(b, dtype=np.float64).ravel()
+    return _rows(x[None], y[None])
+
+
+def _rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    x = np.ascontiguousarray(a, dtype=np.float64)
+    y = np.ascontiguousarray(b, dtype=np.float64)
     if x.shape != y.shape:
-        raise LengthError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if x.size == 0:
+        raise LengthError(f"length mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+    if x.shape[-1] == 0:
         raise LengthError("metrics need at least one sample")
     return x, y
 
 
+def _rmse_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean((x - y) ** 2, axis=1))
+
+
+def _prd_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # energies() takes one dot product per row, which rounds as ``x @ x`` on
+    # that row alone; a sum over the axis would round differently.
+    ref = energies(x)
+    if not ref.all():
+        raise UndefinedMetricError("prd is undefined for an all-zero reference")
+    return 100.0 * np.sqrt(energies(x - y) / ref)
+
+
 def rmse(a, b) -> float:
-    x, y = _pair(a, b)
-    return math.sqrt(float(np.mean((x - y) ** 2)))
+    return float(_rmse_rows(*_pair(a, b))[0])
 
 
 def prd(a, b) -> float:
     """Percent root-mean-square difference relative to the first argument."""
-    x, y = _pair(a, b)
-    ref = float(x @ x)
-    if ref == 0.0:
-        raise UndefinedMetricError("prd is undefined for an all-zero reference")
-    return 100.0 * math.sqrt(float((x - y) @ (x - y)) / ref)
+    return float(_prd_rows(*_pair(a, b))[0])
 
 
 def jaccard(a, b) -> float:
@@ -63,22 +77,36 @@ class ComparisonReport:
 
 
 def build_report(
-    compression: float,
-    original,
-    synthesized,
-    flags_original,
-    flags_synthesized,
-) -> ComparisonReport:
-    a = set(int(i) for i in flags_original)
-    b = set(int(i) for i in flags_synthesized)
-    hits = len(a & b)
-    return ComparisonReport(
-        compression_ratio=compression,
-        rmse=rmse(original, synthesized),
-        prd=prd(original, synthesized),
-        flags_original=tuple(sorted(a)),
-        flags_synthesized=tuple(sorted(b)),
-        jaccard=jaccard(a, b),
-        preserved_precision=hits / len(b) if b else 1.0,
-        preserved_recall=hits / len(a) if a else 1.0,
+    compression, original, synthesized, flags_original, flags_synthesized
+) -> list[ComparisonReport]:
+    """One report per row of ``(rows, n)`` series and boolean flag matrices.
+
+    compression holds one ratio per row.  Overlaps are counted from the flag
+    masks; a row's flag tuples list its flagged sample indices in order.
+    """
+    x, y = _rows(original, synthesized)
+    fo = np.asarray(flags_original, dtype=bool)
+    fs = np.asarray(flags_synthesized, dtype=bool)
+    per_row = zip(
+        compression,
+        _rmse_rows(x, y).tolist(),
+        _prd_rows(x, y).tolist(),
+        np.count_nonzero(fo & fs, axis=1).tolist(),
+        np.count_nonzero(fo, axis=1).tolist(),
+        np.count_nonzero(fs, axis=1).tolist(),
+        fo,
+        fs,
     )
+    return [
+        ComparisonReport(
+            compression_ratio=ratio,
+            rmse=err,
+            prd=pct,
+            flags_original=tuple(np.flatnonzero(row_o).tolist()),
+            flags_synthesized=tuple(np.flatnonzero(row_s).tolist()),
+            jaccard=hits / (a + b - hits) if a or b else 1.0,
+            preserved_precision=hits / b if b else 1.0,
+            preserved_recall=hits / a if a else 1.0,
+        )
+        for ratio, err, pct, hits, a, b, row_o, row_s in per_row
+    ]

@@ -79,6 +79,29 @@ def fit_series_model(
     return gaussian.calibrate(model, train, quantile)
 
 
+def fit_row_models(train, quantile: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit and calibrate one single-feature model per row of a ``(rows, m)``
+    matrix; returns ``(mu, sigma2, epsilon)`` for :func:`judge_windows`."""
+    x = np.ascontiguousarray(train, dtype=np.float64)[:, :, None]
+    mu, sigma2 = gaussian.fit_rows(x)
+    return mu, sigma2, gaussian.calibrate_rows(mu, sigma2, x, quantile)
+
+
+def judge_windows(originals, synthesized, compression, mu, sigma2, epsilon):
+    """Score both versions of every window with its row's model and report.
+
+    originals and synthesized are C-contiguous ``(rows, n)`` matrices; row r
+    is scored by ``mu[r]``, ``sigma2[r]`` and ``epsilon[r]``, or a ``(1, 1)``
+    mu and sigma2 score every row.  Returns the reports plus the
+    probabilities of the originals and of the synthesized windows, each
+    ``(rows, n)``.
+    """
+    flags_o, prob_o = gaussian.detect_rows(mu, sigma2, epsilon, originals[:, :, None])
+    flags_s, prob_s = gaussian.detect_rows(mu, sigma2, epsilon, synthesized[:, :, None])
+    reports = build_report(compression, originals, synthesized, flags_o, flags_s)
+    return reports, prob_o, prob_s
+
+
 def compare_windows(
     values,
     windows: list[ReducedWindow],
@@ -93,7 +116,9 @@ def compare_windows(
     The detector model comes from, in order of preference: the model
     argument, a fit on the first ``train`` samples of the series, or a fit on
     each window's own original samples.  The same model and epsilon always
-    score both versions of a window.
+    score both versions of a window.  Windows of one original length are
+    fitted, scored and reported as one batch; the arrays of each result are
+    read-only rows of that batch.
 
     Raises:
         AlignmentError: when a window refers to samples the series lacks or
@@ -119,29 +144,34 @@ def compare_windows(
                 f"{x.shape[0]} samples"
             )
     rebuilt = synthesize_windows([w.register for w in windows], filters)
-    out = []
-    for w, synthesized in zip(windows, rebuilt):
-        original = x[w.start : w.start + w.register.original_length]
-        window_model = model or fit_series_model(original, quantile)
-        rep_o = gaussian.detect(window_model, original)
-        rep_s = gaussian.detect(window_model, synthesized)
-        report = build_report(
-            compression_ratio(w.register),
-            original,
-            synthesized,
-            np.flatnonzero(rep_o.flags),
-            np.flatnonzero(rep_s.flags),
+    by_length: dict[int, list[int]] = {}
+    for r, w in enumerate(windows):
+        by_length.setdefault(w.register.original_length, []).append(r)
+    out: list[WindowComparison | None] = [None] * len(windows)
+    for length, rows in by_length.items():
+        starts = np.array([windows[r].start for r in rows])
+        originals = x[starts[:, None] + np.arange(length)]
+        synthesized = np.array([rebuilt[r] for r in rows])
+        if model is None:
+            mu, sigma2, epsilon = fit_row_models(originals, quantile)
+        else:
+            mu, sigma2 = model.mu[None], model.sigma2[None]
+            epsilon = np.full(len(rows), model.epsilon)
+        compression = [compression_ratio(windows[r].register) for r in rows]
+        reports, prob_o, prob_s = judge_windows(
+            originals, synthesized, compression, mu, sigma2, epsilon
         )
-        out.append(
-            WindowComparison(
-                index=w.index,
-                start=w.start,
-                report=report,
-                epsilon=window_model.epsilon,
-                original=original,
-                synthesized=synthesized,
-                prob_original=rep_o.probabilities,
-                prob_synthesized=rep_s.probabilities,
+        for matrix in (originals, synthesized, prob_o, prob_s):
+            matrix.setflags(write=False)
+        for i, (r, eps) in enumerate(zip(rows, epsilon.tolist())):
+            out[r] = WindowComparison(
+                index=windows[r].index,
+                start=windows[r].start,
+                report=reports[i],
+                epsilon=eps,
+                original=originals[i],
+                synthesized=synthesized[i],
+                prob_original=prob_o[i],
+                prob_synthesized=prob_s[i],
             )
-        )
     return out

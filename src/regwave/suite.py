@@ -4,7 +4,8 @@ Each case simulates a single polled port with a long clean prefix, injects
 one anomaly inside a later evaluation window, reduces that window at depth 1,
 and checks how well detection on the rebuilt register agrees with detection
 on the original.  The prefix trains the detector, so the evaluation window is
-scored by a model that never saw the anomaly.
+scored by a model that never saw the anomaly.  Only the evaluation window is
+reduced, and both byte directions go through as the two rows of one batch.
 
 Anomalies are placed a few samples away from window edges and span dozens of
 polling intervals: depth-1 synthesis smears sharp edges over at most a
@@ -15,9 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .metrics import ComparisonReport
-from .pipeline import compare_windows, reduce_series
-from .reducer import ReductionPolicy
+from .pipeline import fit_row_models, judge_windows
+from .reducer import (
+    ReductionPolicy,
+    compression_ratio,
+    decompose_windows,
+    synthesize_windows,
+)
 from .telemetry import (
     AnomalyScenario,
     Collector,
@@ -129,7 +137,11 @@ class CaseResult:
 
 
 def run_case(case: PreservationCase) -> CaseResult:
-    """Simulate, reduce, and compare one case on both byte directions."""
+    """Simulate, reduce, and compare one case on both byte directions.
+
+    Each direction's model is fitted on its own clean prefix; the two
+    evaluation windows are reduced, scored and reported as one two-row batch.
+    """
     switch = SwitchSim(
         "s1",
         {1: TrafficProfile(base_rate=case.base_rate, jitter=case.jitter)},
@@ -140,19 +152,25 @@ def run_case(case: PreservationCase) -> CaseResult:
     store = poll(
         Collector(), [switch], interval=INTERVAL, duration=INTERVAL * n_snapshots
     )
+    series = np.array(
+        [deltas(store.counter_series("s1", 1, field)) for field in _DIRECTIONS],
+        dtype=np.float64,
+    )
+    start = TRAIN_SAMPLES // WINDOW * WINDOW
+    originals = np.ascontiguousarray(series[:, start : start + WINDOW])
     filters = make_filter_pair(FAMILY)
-    policy = ReductionPolicy(max_depth=DEPTH)
-    eval_index = TRAIN_SAMPLES // WINDOW
-    reports = {}
-    for field in _DIRECTIONS:
-        series = deltas(store.counter_series("s1", 1, field))
-        windows, _ = reduce_series(series, filters, policy, WINDOW)
-        target = [w for w in windows if w.index == eval_index]
-        comparison = compare_windows(
-            series, target, filters, train=TRAIN_SAMPLES, quantile=QUANTILE
-        )[0]
-        reports[field] = comparison.report
-    return CaseResult(case=case, reports=reports)
+    registers = decompose_windows(originals, filters, ReductionPolicy(max_depth=DEPTH))
+    synthesized = np.array(synthesize_windows(registers, filters))
+    mu, sigma2, epsilon = fit_row_models(series[:, :TRAIN_SAMPLES], QUANTILE)
+    reports, _, _ = judge_windows(
+        originals,
+        synthesized,
+        [compression_ratio(r) for r in registers],
+        mu,
+        sigma2,
+        epsilon,
+    )
+    return CaseResult(case=case, reports=dict(zip(_DIRECTIONS, reports)))
 
 
 def run_suite(cases=None) -> list[CaseResult]:

@@ -171,6 +171,36 @@ def test_non_finite_coefficient_exits_two(video_sim, tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def _longer_ledger(entry):
+    entry["sibling_energies"].append([1.0, 1.0])
+
+
+def _length_192(entry):
+    entry["original_length"] = 192
+    entry["coefficients"] = entry["coefficients"] * 3
+
+
+@pytest.mark.parametrize("verb", ["synthesize", "compare"])
+@pytest.mark.parametrize("edit, message", [
+    (_longer_ledger, "window 0: 2 sibling_energies pairs for path 'L'"),
+    (_length_192, "window 0: original_length 192 is not a power of two"),
+])
+def test_inconsistent_reduced_window_exits_two(video_sim, tmp_path, capsys, verb, edit,
+                                               message):
+    register = str(video_sim / "s1_p1_tx_bytes.csv")
+    red = tmp_path / "red.json"
+    assert main(["reduce", register, "--window", "64", "--out", str(red)]) == 0
+    doc = json.loads(red.read_text())
+    edit(doc["windows"][0])
+    red.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [verb, str(red)] if verb == "synthesize" else [verb, register, str(red)]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_windows_of_different_lengths_synthesize_and_compare(video_sim, tmp_path):
     register = str(video_sim / "s1_p1_tx_bytes.csv")
     red = tmp_path / "red.json"

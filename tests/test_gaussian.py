@@ -173,6 +173,15 @@ def test_underflowed_probabilities_still_flag():
     assert bool(report.flags[0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_detect_refuses_non_finite_samples(bad):
+    # A NaN scores NaN, and NaN < epsilon is False: it would never be flagged.
+    train = np.array([1.0, 2.0, 3.0, 4.0])
+    model = calibrate(fit(train), train, quantile=0.01)
+    with pytest.raises(DataError, match="non-finite"):
+        detect(model, np.array([1.0, bad, 1e9]))
+
+
 def test_detect_requires_a_threshold():
     model = fit(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
