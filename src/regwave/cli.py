@@ -22,7 +22,7 @@ from .reducer import ReductionPolicy, synthesize_windows
 # this name: perfbench's tracer test patches and restores it here.
 from .reducer import synthesize as synthesize_register  # noqa: F401
 from .scenario import load_scenario
-from .telemetry import Collector, deltas, poll, select_server_ports
+from .telemetry import deltas, poll, select_server_ports
 from .wavelets import make_filter_pair
 
 EXIT_OK = 0
@@ -131,9 +131,7 @@ def cmd_simulate(args) -> int:
     config = load_scenario(args.scenario)
     interval = args.interval if args.interval is not None else config.interval
     switches = config.build_switches(seed=args.seed)
-    store = poll(
-        Collector(), switches, interval=interval, duration=config.duration
-    )
+    store = poll(switches, interval=interval, duration=config.duration)
     if args.server_ports_only:
         store = select_server_ports(store, config.server_port_keys())
     os.makedirs(args.out, exist_ok=True)
@@ -202,13 +200,12 @@ def cmd_synthesize(args) -> int:
     _check_flags_agree(args, meta)
     filters = make_filter_pair(meta["family"])
     rebuilt = synthesize_windows([w.register for w in windows], filters)
-    values = np.concatenate([np.zeros(0), *rebuilt])
-    indices = np.concatenate(
-        [np.zeros(0, dtype=np.int64)]
-        + [np.arange(w.start, w.start + len(r)) for w, r in zip(windows, rebuilt)]
+    starts = np.array([w.start for w in windows], dtype=np.int64)
+    indices = starts[:, None] + np.arange(rebuilt.shape[1])
+    formats.write_series_csv(
+        args.out, rebuilt.ravel(), label="synthesized", indices=indices.ravel()
     )
-    formats.write_series_csv(args.out, values, label="synthesized", indices=indices)
-    print(f"synthesized {len(windows)} window(s), {values.size} samples, in {args.out}")
+    print(f"synthesized {len(windows)} window(s), {rebuilt.size} samples, in {args.out}")
     return EXIT_OK
 
 

@@ -11,15 +11,13 @@ from __future__ import annotations
 import functools
 import io
 import json
-import math
 import os
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
-from .reducer import ReducedRegister, _is_power_of_two
+from .errors import InputError, ParseError
+from .reducer import ReducedRegister, ReducedWindow
 from .gaussian import GaussianModel
 from .wavelets import FAMILIES
 
@@ -267,15 +265,6 @@ def _series_rows(idx, values) -> str:
     return "".join([f"{i},{v!r}\n" for i, v in rows])
 
 
-@dataclass(frozen=True)
-class ReducedWindow:
-    """One reduced window plus where it came from in the source series."""
-
-    index: int
-    start: int
-    register: ReducedRegister
-
-
 def write_reduced_file(
     path,
     windows: list[ReducedWindow],
@@ -317,13 +306,41 @@ def write_reduced_file(
 
 
 def read_reduced_file(path) -> tuple[dict, list[ReducedWindow]]:
+    """Read a reduced-register file; returns its envelope and its windows.
+
+    Each entry must make a valid ReducedWindow and agree with the envelope:
+    its original_length is the file's window_size, its stored start is
+    ``index * window_size``, and its depth is the file's depth, or less
+    when a positive min_energy_ratio may have stopped its descent early.
+
+    Raises:
+        ParseError: unreadable file, unknown family, an envelope without
+            integer window_size and depth and a numeric min_energy_ratio, a
+            malformed entry, or an entry that breaks the above, naming its
+            window.
+    """
     doc = _read_json(path, REDUCED_FORMAT)
     family = doc.get("family")
     if family not in FAMILIES:
         raise ParseError(f"unsupported family {family!r}", str(path), 0)
+    window_size, depth, floor = (
+        doc.get(key) for key in ("window_size", "depth", "min_energy_ratio")
+    )
+    if not (
+        isinstance(window_size, int)
+        and isinstance(depth, int)
+        and isinstance(floor, (int, float))
+    ):
+        raise ParseError(
+            "envelope needs integer window_size and depth and a numeric "
+            f"min_energy_ratio, got {window_size!r}, {depth!r}, {floor!r}",
+            str(path),
+            0,
+        )
     windows = []
     for entry in doc.get("windows", []):
         try:
+            index, start = int(entry["index"]), int(entry["start"])
             register = ReducedRegister(
                 original_length=int(entry["original_length"]),
                 family=family,
@@ -333,41 +350,28 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedWindow]]:
                     (float(k), float(d)) for k, d in entry["sibling_energies"]
                 ),
             )
-            window = ReducedWindow(
-                index=int(entry["index"]), start=int(entry["start"]), register=register
-            )
+            window = ReducedWindow(index=index, register=register)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed window entry: {exc}", str(path), 0) from None
-        if not np.isfinite(register.coeffs).all():
+        except InputError as exc:
+            raise ParseError(f"window {index}: {exc}", str(path), 0) from None
+        if register.original_length != window_size:
             raise ParseError(
-                f"window {window.index}: non-finite coefficients", str(path), 0
-            )
-        if not all(math.isfinite(e) for pair in register.sibling_energies for e in pair):
-            raise ParseError(
-                f"window {window.index}: non-finite sibling_energies", str(path), 0
-            )
-        if any(branch not in "LH" for branch in register.path) or not register.path:
-            raise ParseError(f"bad path {register.path!r}", str(path), 0)
-        if len(register.sibling_energies) != register.depth:
-            raise ParseError(
-                f"window {window.index}: {len(register.sibling_energies)} "
-                f"sibling_energies pairs for path {register.path!r}",
+                f"window {index}: original_length {register.original_length} is "
+                f"not the file's window_size {window_size}",
                 str(path),
                 0,
             )
-        if register.original_length < 2 or not _is_power_of_two(register.original_length):
+        if start != window.start:
             raise ParseError(
-                f"window {window.index}: original_length {register.original_length} "
-                "is not a power of two >= 2",
+                f"window {index}: start {start} is not index {index} * "
+                f"window_size {window_size}",
                 str(path),
                 0,
             )
-        expected = register.original_length >> len(register.path)
-        if register.coeffs.shape[0] != expected:
+        if register.depth > depth or (register.depth < depth and not floor > 0):
             raise ParseError(
-                f"window {window.index}: {register.coeffs.shape[0]} coefficients "
-                f"do not match length {register.original_length} at depth "
-                f"{len(register.path)}",
+                f"window {index}: depth {register.depth} is not the file's depth {depth}",
                 str(path),
                 0,
             )

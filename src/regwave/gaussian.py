@@ -22,17 +22,6 @@ VARIANCE_FLOOR_SCALE = 1e-12
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Per-interval traffic volume of one port, both directions."""
-
-    rx_bytes: float
-    tx_bytes: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rx_bytes, self.tx_bytes], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class GaussianModel:
     mu: np.ndarray
     sigma2: np.ndarray
@@ -57,17 +46,10 @@ class AnomalyReport:
 def as_feature_matrix(samples) -> np.ndarray:
     """Coerce samples to a float (m, k) matrix.
 
-    Accepts a 1-D array (one feature per sample), a 2-D array, or a sequence
-    of FeatureVector / tuples.
+    Accepts anything array-like of shape (m,), one feature per sample, or
+    (m, k).
     """
-    if isinstance(samples, np.ndarray):
-        arr = samples.astype(np.float64, copy=False)
-    else:
-        rows = [
-            s.as_array() if isinstance(s, FeatureVector) else np.asarray(s, dtype=np.float64)
-            for s in samples
-        ]
-        arr = np.array(rows, dtype=np.float64) if rows else np.empty((0, 1))
+    arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -175,15 +157,6 @@ def log_probabilities(model: GaussianModel, samples) -> np.ndarray:
 
 def probabilities(model: GaussianModel, samples) -> np.ndarray:
     return np.exp(log_probabilities(model, samples))
-
-
-def probability(model: GaussianModel, sample) -> float:
-    """Density of a single sample (product over independent features)."""
-    if isinstance(sample, FeatureVector):
-        x = sample.as_array()
-    else:
-        x = np.atleast_1d(np.asarray(sample, dtype=np.float64))
-    return float(probabilities(model, x[None, :])[0])
 
 
 def select_threshold(train_probabilities, quantile: float = 0.01) -> float:

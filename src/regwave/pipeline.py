@@ -14,9 +14,9 @@ import numpy as np
 
 from . import gaussian
 from .errors import AlignmentError, InsufficientDataError
-from .formats import ReducedWindow
 from .metrics import ComparisonReport, build_report
 from .reducer import (
+    ReducedWindow,
     ReductionPolicy,
     compression_ratio,
     decompose_windows,
@@ -49,10 +49,7 @@ def reduce_series(
         )
     matrix = x[: len(spans) * window].reshape(len(spans), window)
     registers = decompose_windows(matrix, filters, policy)
-    out = [
-        ReducedWindow(index=index, start=start, register=register)
-        for index, ((start, _), register) in enumerate(zip(spans, registers))
-    ]
+    out = [ReducedWindow(index=index, register=r) for index, r in enumerate(registers)]
     return out, dropped
 
 
@@ -116,13 +113,13 @@ def compare_windows(
     The detector model comes from, in order of preference: the model
     argument, a fit on the first ``train`` samples of the series, or a fit on
     each window's own original samples.  The same model and epsilon always
-    score both versions of a window.  Windows of one original length are
+    score both versions of a window.  The windows, all of one length, are
     fitted, scored and reported as one batch; the arrays of each result are
     read-only rows of that batch.
 
     Raises:
-        AlignmentError: when a window refers to samples the series lacks or
-            its length disagrees with its register.
+        LengthError: when the windows differ in length.
+        AlignmentError: when a window refers to samples the series lacks.
     """
     x = np.asarray(values, dtype=np.float64)
     if model is not None and model.epsilon is None:
@@ -136,42 +133,39 @@ def compare_windows(
             )
         model = fit_series_model(x[:train], quantile)
 
+    if not windows:
+        return []
+    synthesized = synthesize_windows([w.register for w in windows], filters)
+    n = synthesized.shape[1]
     for w in windows:
-        stop = w.start + w.register.original_length
-        if w.start < 0 or stop > x.shape[0]:
+        if w.start + n > x.shape[0]:
             raise AlignmentError(
-                f"window {w.index} spans [{w.start}, {stop}) but the series has "
-                f"{x.shape[0]} samples"
+                f"window {w.index} spans [{w.start}, {w.start + n}) but the series "
+                f"has {x.shape[0]} samples"
             )
-    rebuilt = synthesize_windows([w.register for w in windows], filters)
-    by_length: dict[int, list[int]] = {}
-    for r, w in enumerate(windows):
-        by_length.setdefault(w.register.original_length, []).append(r)
-    out: list[WindowComparison | None] = [None] * len(windows)
-    for length, rows in by_length.items():
-        starts = np.array([windows[r].start for r in rows])
-        originals = x[starts[:, None] + np.arange(length)]
-        synthesized = np.array([rebuilt[r] for r in rows])
-        if model is None:
-            mu, sigma2, epsilon = fit_row_models(originals, quantile)
-        else:
-            mu, sigma2 = model.mu[None], model.sigma2[None]
-            epsilon = np.full(len(rows), model.epsilon)
-        compression = [compression_ratio(windows[r].register) for r in rows]
-        reports, prob_o, prob_s = judge_windows(
-            originals, synthesized, compression, mu, sigma2, epsilon
+    starts = np.array([w.start for w in windows])
+    originals = x[starts[:, None] + np.arange(n)]
+    if model is None:
+        mu, sigma2, epsilon = fit_row_models(originals, quantile)
+    else:
+        mu, sigma2 = model.mu[None], model.sigma2[None]
+        epsilon = np.full(len(windows), model.epsilon)
+    compression = [compression_ratio(w.register) for w in windows]
+    reports, prob_o, prob_s = judge_windows(
+        originals, synthesized, compression, mu, sigma2, epsilon
+    )
+    for matrix in (originals, synthesized, prob_o, prob_s):
+        matrix.setflags(write=False)
+    return [
+        WindowComparison(
+            index=w.index,
+            start=w.start,
+            report=report,
+            epsilon=eps,
+            original=originals[r],
+            synthesized=synthesized[r],
+            prob_original=prob_o[r],
+            prob_synthesized=prob_s[r],
         )
-        for matrix in (originals, synthesized, prob_o, prob_s):
-            matrix.setflags(write=False)
-        for i, (r, eps) in enumerate(zip(rows, epsilon.tolist())):
-            out[r] = WindowComparison(
-                index=windows[r].index,
-                start=windows[r].start,
-                report=reports[i],
-                epsilon=eps,
-                original=originals[i],
-                synthesized=synthesized[i],
-                prob_original=prob_o[i],
-                prob_synthesized=prob_s[i],
-            )
-    return out
+        for r, (w, report, eps) in enumerate(zip(windows, reports, epsilon.tolist()))
+    ]

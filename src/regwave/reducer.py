@@ -9,11 +9,12 @@ it equals the sum of everything that was thrown away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FamilyMismatchError, LengthError, PolicyError
+from .errors import DataError, FamilyMismatchError, LengthError, PolicyError
 from .wavelets import FilterPair, analysis_step, energies, synthesis_step
 
 
@@ -45,7 +46,11 @@ class ReducedRegister:
 
     sibling_energies holds one ``(kept, discarded)`` pair per level, root
     first.  The energy of the reconstruction error equals the sum of the
-    discarded entries.
+    discarded entries.  A register that could not come out of a
+    decomposition is refused: a path that is empty or holds anything but
+    ``L`` and ``H``, a ledger without one pair per path letter, an
+    original_length that is not a power of two >= 2, coeffs that are not
+    ``original_length >> depth`` values, or a non-finite number.
     """
 
     original_length: int
@@ -54,12 +59,52 @@ class ReducedRegister:
     coeffs: np.ndarray
     sibling_energies: tuple[tuple[float, float], ...]
 
+    def __post_init__(self):
+        if not self.path or not set(self.path) <= {"L", "H"}:
+            raise DataError(f"path must be L and H letters, got {self.path!r}")
+        if len(self.sibling_energies) != self.depth:
+            raise LengthError(
+                f"{len(self.sibling_energies)} sibling_energies pairs for path {self.path!r}"
+            )
+        if not _is_power_of_two(self.original_length) or self.original_length < 2:
+            raise LengthError(
+                f"original_length {self.original_length} is not a power of two >= 2"
+            )
+        kept = self.original_length >> self.depth
+        if not kept or self.coeffs.shape != (kept,):
+            raise LengthError(
+                f"coefficients of shape {self.coeffs.shape} do not rebuild "
+                f"{self.original_length} samples at depth {self.depth}"
+            )
+        if not np.isfinite(self.coeffs).all():
+            raise DataError("non-finite coefficients")
+        if not all(math.isfinite(e) for pair in self.sibling_energies for e in pair):
+            raise DataError("non-finite sibling_energies")
+
     @property
     def depth(self) -> int:
         return len(self.path)
 
     def discarded_energy(self) -> float:
         return sum(d for _, d in self.sibling_energies)
+
+
+@dataclass(frozen=True)
+class ReducedWindow:
+    """Window ``index`` of a series cut into windows of the register's
+    original_length, and its reduced register."""
+
+    index: int
+    register: ReducedRegister
+
+    def __post_init__(self):
+        if self.index < 0:
+            raise LengthError(f"window index must be >= 0, got {self.index}")
+
+    @property
+    def start(self) -> int:
+        """Offset of the window's first sample in the series."""
+        return self.index * self.register.original_length
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -154,42 +199,26 @@ def synthesize(reduced: ReducedRegister, filters: FilterPair) -> np.ndarray:
     return synthesize_windows([reduced], filters)[0]
 
 
-def synthesize_windows(registers, filters: FilterPair) -> list[np.ndarray]:
+def synthesize_windows(registers, filters: FilterPair) -> np.ndarray:
     """Rebuild full-length windows from their kept branches, in input order.
 
     Discarded siblings enter as zero blocks, so each window is the orthogonal
-    projection of its original window onto the kept branch's subspace.
-    Registers that rebuild the same length are rebuilt as one batch whatever
-    their depths and paths; the returned arrays are rows of that batch.
+    projection of its original window onto the kept branch's subspace.  All
+    registers must rebuild one length n; they are rebuilt as one batch
+    whatever their depths and paths, as the rows of a ``(windows, n)``
+    matrix.  No registers give a ``(0, 0)`` matrix.
     """
     for reduced in registers:
         if filters.family != reduced.family:
             raise FamilyMismatchError(
                 f"register was reduced with {reduced.family!r}, not {filters.family!r}"
             )
-        if any(branch not in "LH" for branch in reduced.path):
-            raise PolicyError(f"path may only contain L and H, got {reduced.path!r}")
-        if len(reduced.coeffs) << reduced.depth != reduced.original_length:
-            raise LengthError(
-                f"path {reduced.path!r} with {len(reduced.coeffs)} coefficients does "
-                f"not rebuild {reduced.original_length} samples"
-            )
-    by_length: dict[int, list[int]] = {}
-    for r, reduced in enumerate(registers):
-        by_length.setdefault(reduced.original_length, []).append(r)
-    out = [None] * len(registers)
-    for rows in by_length.values():
-        batch = _synthesize_batch([registers[r] for r in rows], filters)
-        for r, window in zip(rows, batch):
-            out[r] = window
-    return out
-
-
-def _synthesize_batch(registers, filters: FilterPair) -> np.ndarray:
-    """Rebuild registers of one original length as the rows of a matrix.
-
-    A register joins the batch at the level its kept block lives on.
-    """
+    lengths = sorted({reduced.original_length for reduced in registers})
+    if len(lengths) > 1:
+        raise LengthError(f"registers rebuild different lengths {lengths}")
+    if not registers:
+        return np.empty((0, 0))
+    # A register joins the batch at the level its kept block lives on.
     # Deepest registers first, so the registers joining at each level append
     # their rows to the running block.
     order = sorted(range(len(registers)), key=lambda r: registers[r].depth, reverse=True)

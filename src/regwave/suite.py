@@ -28,7 +28,6 @@ from .reducer import (
 )
 from .telemetry import (
     AnomalyScenario,
-    Collector,
     SwitchSim,
     TrafficProfile,
     deltas,
@@ -149,9 +148,7 @@ def run_case(case: PreservationCase) -> CaseResult:
         seed=case.seed,
     )
     n_snapshots = TRAIN_SAMPLES + WINDOW + 1
-    store = poll(
-        Collector(), [switch], interval=INTERVAL, duration=INTERVAL * n_snapshots
-    )
+    store = poll([switch], interval=INTERVAL, duration=INTERVAL * n_snapshots)
     series = np.array(
         [deltas(store.counter_series("s1", 1, field)) for field in _DIRECTIONS],
         dtype=np.float64,
@@ -160,11 +157,10 @@ def run_case(case: PreservationCase) -> CaseResult:
     originals = np.ascontiguousarray(series[:, start : start + WINDOW])
     filters = make_filter_pair(FAMILY)
     registers = decompose_windows(originals, filters, ReductionPolicy(max_depth=DEPTH))
-    synthesized = np.array(synthesize_windows(registers, filters))
     mu, sigma2, epsilon = fit_row_models(series[:, :TRAIN_SAMPLES], QUANTILE)
     reports, _, _ = judge_windows(
         originals,
-        synthesized,
+        synthesize_windows(registers, filters),
         [compression_ratio(r) for r in registers],
         mu,
         sigma2,

@@ -1,4 +1,4 @@
-"""Simulated switch data plane and polling collector.
+"""Simulated switch data plane and polling.
 
 Switches hold monotone per-port counters driven by traffic profiles and
 injected anomalies on a simulated clock.  Polling a switch for n ticks runs
@@ -23,8 +23,6 @@ from .errors import (
     MonotonicityError,
     UnknownPortError,
 )
-
-DEFAULT_INTERVAL = 10.0
 
 # Nominal frame size tying packet counters to byte counters.
 FRAME_BYTES = 1000
@@ -336,24 +334,7 @@ class RegisterStore:
         ]
 
 
-class Collector:
-    """Polling endpoint: runs a switch for a number of ticks and files one
-    series per port.  It keeps no state between polls."""
-
-    def collect(
-        self, store: RegisterStore, switch: SwitchSim, n_ticks: int, interval: float
-    ) -> None:
-        stamps, columns = switch.run(n_ticks, interval)
-        for port, cols in columns.items():
-            store.add(switch.switch_id, port, stamps, cols)
-
-
-def poll(
-    collector: Collector,
-    switches,
-    interval: float = DEFAULT_INTERVAL,
-    duration: float = 0.0,
-) -> RegisterStore:
+def poll(switches, *, interval: float, duration: float) -> RegisterStore:
     """Drive every switch through duration seconds of polled simulation.
 
     Every switch is snapshotted once per interval, after each tick.
@@ -377,7 +358,9 @@ def poll(
     store = RegisterStore()
     if n_ticks:
         for sw in switches:
-            collector.collect(store, sw, n_ticks, interval)
+            stamps, columns = sw.run(n_ticks, interval)
+            for port, cols in columns.items():
+                store.add(sw.switch_id, port, stamps, cols)
     return store
 
 

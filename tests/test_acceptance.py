@@ -17,7 +17,7 @@ from regwave.gaussian import fit, select_threshold
 from regwave.reducer import ReductionPolicy, compression_ratio, decompose, synthesize
 from regwave.scenario import load_scenario
 from regwave.suite import run_suite
-from regwave.telemetry import COUNTER_FIELDS, Collector, poll
+from regwave.telemetry import COUNTER_FIELDS, poll
 from regwave.wavelets import (
     analysis_step,
     energy,
@@ -190,7 +190,6 @@ def test_criterion_7_polling_cadence_and_determinism(tmp_path):
     monotone = True
     for run in range(2):
         store = poll(
-            Collector(),
             config.build_switches(seed=7),
             interval=config.interval,
             duration=config.duration,

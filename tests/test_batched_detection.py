@@ -15,12 +15,11 @@ import pytest
 
 from regwave import suite
 from regwave.errors import UndefinedMetricError
-from regwave.formats import ReducedWindow
 from regwave.gaussian import fit, fit_rows
 from regwave.metrics import ComparisonReport
 from regwave.pipeline import compare_windows, fit_series_model, reduce_series
 from regwave.reducer import ReductionPolicy, compression_ratio, synthesize
-from regwave.telemetry import Collector, SwitchSim, TrafficProfile, deltas, poll
+from regwave.telemetry import SwitchSim, TrafficProfile, deltas, poll
 from regwave.wavelets import make_filter_pair
 
 
@@ -136,27 +135,6 @@ def test_batched_compare_equals_the_per_window_reference(rows, n, source):
 
 
 @pytest.mark.parametrize("source", SOURCES)
-def test_mixed_length_windows_equal_the_reference(source):
-    rng = np.random.default_rng(5)
-    filters = make_filter_pair("db2")
-    series = bursty(rng, 512)
-    policy = ReductionPolicy(max_depth=1)
-    long_windows, _ = reduce_series(series, filters, policy, 64)
-    short_windows, _ = reduce_series(series, filters, policy, 32)
-    # Alternate lengths as a hand-edited reduced file may: 64, 32, 64, ...
-    windows = []
-    for k in range(4):
-        windows.append(long_windows[2 * k])
-        short = short_windows[4 * k + 2]
-        windows.append(ReducedWindow(index=2 * k + 1, start=short.start,
-                                     register=short.register))
-    comps, reference = _compare_both(series, windows, filters, source, 0.05, rng)
-    assert [c.index for c in comps] == [w.index for w in windows]
-    assert [c.original.shape[0] for c in comps] == [64, 32] * 4
-    assert_same(comps, reference)
-
-
-@pytest.mark.parametrize("source", SOURCES)
 def test_all_zero_window_raises_as_before(source):
     rng = np.random.default_rng(9)
     filters = make_filter_pair("haar")
@@ -192,7 +170,7 @@ def ref_run_case(case):
         seed=case.seed,
     )
     n = suite.TRAIN_SAMPLES + suite.WINDOW + 1
-    store = poll(Collector(), [switch], interval=suite.INTERVAL, duration=suite.INTERVAL * n)
+    store = poll([switch], interval=suite.INTERVAL, duration=suite.INTERVAL * n)
     filters = make_filter_pair(suite.FAMILY)
     policy = ReductionPolicy(max_depth=suite.DEPTH)
     reports = {}

@@ -171,19 +171,42 @@ def test_non_finite_coefficient_exits_two(video_sim, tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
-def _longer_ledger(entry):
-    entry["sibling_energies"].append([1.0, 1.0])
+def _longer_ledger(doc):
+    doc["windows"][0]["sibling_energies"].append([1.0, 1.0])
 
 
-def _length_192(entry):
+def _length_192(doc):
+    entry = doc["windows"][0]
     entry["original_length"] = 192
     entry["coefficients"] = entry["coefficients"] * 3
+
+
+def _start_shifted(doc):
+    doc["windows"][1]["start"] += 7
+
+
+def _envelope_window_32(doc):
+    doc["window_size"] = 32
+
+
+def _one_window_of_32(doc):
+    entry = doc["windows"][0]
+    entry["original_length"] = 32
+    entry["coefficients"] = entry["coefficients"][:16]
+
+
+def _envelope_depth_5(doc):
+    doc["depth"] = 5
 
 
 @pytest.mark.parametrize("verb", ["synthesize", "compare"])
 @pytest.mark.parametrize("edit, message", [
     (_longer_ledger, "window 0: 2 sibling_energies pairs for path 'L'"),
     (_length_192, "window 0: original_length 192 is not a power of two"),
+    (_start_shifted, "window 1: start 71 is not index 1 * window_size 64"),
+    (_envelope_window_32, "window 0: original_length 64 is not the file's window_size 32"),
+    (_one_window_of_32, "window 0: original_length 32 is not the file's window_size 64"),
+    (_envelope_depth_5, "window 0: depth 1 is not the file's depth 5"),
 ])
 def test_inconsistent_reduced_window_exits_two(video_sim, tmp_path, capsys, verb, edit,
                                                message):
@@ -191,7 +214,7 @@ def test_inconsistent_reduced_window_exits_two(video_sim, tmp_path, capsys, verb
     red = tmp_path / "red.json"
     assert main(["reduce", register, "--window", "64", "--out", str(red)]) == 0
     doc = json.loads(red.read_text())
-    edit(doc["windows"][0])
+    edit(doc)
     red.write_text(json.dumps(doc))
     capsys.readouterr()
     out = tmp_path / "out"
@@ -201,27 +224,34 @@ def test_inconsistent_reduced_window_exits_two(video_sim, tmp_path, capsys, verb
     assert not out.exists()
 
 
-def test_windows_of_different_lengths_synthesize_and_compare(video_sim, tmp_path):
+def test_only_an_energy_floor_lets_a_window_stop_above_the_file_depth(video_sim, tmp_path,
+                                                                      capsys):
+    register = str(video_sim / "s1_p1_tx_bytes.csv")
+    red = tmp_path / "red.json"
+    assert main(["reduce", register, "--window", "64", "--depth", "4",
+                 "--min-energy-ratio", "0.9", "--out", str(red)]) == 0
+    doc = json.loads(red.read_text())
+    assert [w["path"] for w in doc["windows"]] == ["LLLL", "LL", "LLLL"]
+    assert main(["synthesize", str(red), "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["compare", register, str(red), "--out", str(tmp_path / "c")]) == 0
+    doc["min_energy_ratio"] = 0.0
+    red.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["synthesize", str(red), "--out", str(tmp_path / "s0.csv")]) == 2
+    assert "window 1: depth 2 is not the file's depth 4" in capsys.readouterr().err
+
+
+def test_reduced_file_without_windows_synthesizes_and_compares_nothing(video_sim, tmp_path):
     register = str(video_sim / "s1_p1_tx_bytes.csv")
     red = tmp_path / "red.json"
     assert main(["reduce", register, "--window", "64", "--out", str(red)]) == 0
-    assert main(["synthesize", str(red), "--out", str(tmp_path / "all.csv")]) == 0
     doc = json.loads(red.read_text())
-    first = doc["windows"][0]
-    first["original_length"] = 32
-    first["coefficients"] = first["coefficients"][:16]
-    first["sibling_energies"] = first["sibling_energies"][:1]
-    mixed = tmp_path / "mixed.json"
-    mixed.write_text(json.dumps(doc))
-    assert main(["synthesize", str(mixed), "--out", str(tmp_path / "mixed.csv")]) == 0
-    rows = (tmp_path / "mixed.csv").read_text().splitlines()
-    full = (tmp_path / "all.csv").read_text().splitlines()
-    assert len(rows) == 1 + 32 + 128
-    assert [r.split(",")[0] for r in rows[1:33]] == [str(i) for i in range(32)]
-    assert rows[33:] == full[65:]
-    assert main(["compare", register, str(mixed), "--out", str(tmp_path / "c")]) == 0
-    report = json.loads((tmp_path / "c" / "report.json").read_text())
-    assert [w["index"] for w in report["windows"]] == [0, 1, 2]
+    doc["windows"] = []
+    red.write_text(json.dumps(doc))
+    assert main(["synthesize", str(red), "--out", str(tmp_path / "s.csv")]) == 0
+    assert (tmp_path / "s.csv").read_text() == "index,synthesized\n"
+    assert main(["compare", register, str(red), "--out", str(tmp_path / "c")]) == 0
+    assert json.loads((tmp_path / "c" / "report.json").read_text())["windows"] == []
 
 
 def test_detect_writes_model_and_flags(video_sim, tmp_path):

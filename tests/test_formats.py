@@ -7,7 +7,6 @@ from regwave import formats
 from regwave.errors import ParseError
 from regwave.formats import (
     SERIES_CHUNK_ROWS,
-    ReducedWindow,
     export_store,
     read_model_file,
     read_reduced_file,
@@ -18,10 +17,9 @@ from regwave.formats import (
     write_series_csv,
 )
 from regwave.gaussian import GaussianModel
-from regwave.reducer import ReductionPolicy, decompose
+from regwave.reducer import ReducedWindow, ReductionPolicy, decompose
 from regwave.telemetry import (
     COUNTER_FIELDS,
-    Collector,
     RegisterStore,
     SwitchSim,
     TrafficProfile,
@@ -64,7 +62,7 @@ def _sample_windows():
     out = []
     for i in range(3):
         reg = decompose(rng.normal(size=64), fp, ReductionPolicy(max_depth=2))
-        out.append(ReducedWindow(index=i, start=i * 64, register=reg))
+        out.append(ReducedWindow(index=i, register=reg))
     return out
 
 
@@ -124,6 +122,12 @@ def test_reduced_file_rejects_inconsistent_entries(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="path"):
         read_reduced_file(path)
+    doc["windows"][0]["path"] = "LL"
+    for key, value in (("window_size", None), ("window_size", "64"), ("depth", 2.0),
+                       ("min_energy_ratio", None), ("min_energy_ratio", "0")):
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(ParseError, match="envelope needs integer window_size"):
+            read_reduced_file(path)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +199,7 @@ def test_model_file_validates_shapes(tmp_path):
 
 def test_export_store_writes_one_file_per_counter(tmp_path):
     sw = SwitchSim("s1", {1: TrafficProfile(base_rate=1000.0)}, seed=0)
-    store = poll(Collector(), [sw], interval=10.0, duration=30.0)
+    store = poll([sw], interval=10.0, duration=30.0)
     written = export_store(store, tmp_path)
     assert len(written) == 8
     t, s, v = read_register_csv(tmp_path / "s1_p1_tx_bytes.csv")
@@ -205,7 +209,7 @@ def test_export_store_writes_one_file_per_counter(tmp_path):
 
 def test_zero_duration_store_exports_nothing(tmp_path):
     sw = SwitchSim("s1", {1: TrafficProfile(base_rate=1000.0)}, seed=0)
-    store = poll(Collector(), [sw], interval=10.0, duration=0.0)
+    store = poll([sw], interval=10.0, duration=0.0)
     out = tmp_path / "out"
     assert export_store(store, out) == []
     assert list(out.iterdir()) == []
@@ -424,7 +428,7 @@ def test_export_store_matches_the_per_row_writer(tmp_path, interval, duration):
         SwitchSim("s1", {1: TrafficProfile(base_rate=1e5, jitter=0.2), 2: TrafficProfile(base_rate=40.0)}, seed=3),
         SwitchSim("s2", {7: TrafficProfile(base_rate=3e9, jitter=0.5)}, seed=4),
     ]
-    store = poll(Collector(), switches, interval=interval, duration=duration)
+    store = poll(switches, interval=interval, duration=duration)
     written = export_store(store, tmp_path / "new")
     _per_row_export(store, tmp_path / "old")
     assert len(written) == 8 * len(store)

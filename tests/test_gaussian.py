@@ -5,13 +5,11 @@ import pytest
 
 from regwave.errors import DataError, InsufficientDataError, LengthError
 from regwave.gaussian import (
-    FeatureVector,
     GaussianModel,
     calibrate,
     detect,
     fit,
     probabilities,
-    probability,
     select_threshold,
 )
 
@@ -62,26 +60,28 @@ def test_fit_rejects_small_or_bad_input():
 
 def test_density_at_the_mean():
     model = GaussianModel(mu=np.array([0.0]), sigma2=np.array([1.0]))
-    assert probability(model, [0.0]) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
+    assert probabilities(model, [0.0])[0] == pytest.approx(
+        1.0 / math.sqrt(2 * math.pi), rel=1e-12
+    )
 
 
 def test_two_features_multiply():
     model = GaussianModel(mu=np.array([1.0, -1.0]), sigma2=np.array([1.0, 1.0]))
-    assert probability(model, FeatureVector(rx_bytes=1.0, tx_bytes=-1.0)) == pytest.approx(
+    assert probabilities(model, [[1.0, -1.0]])[0] == pytest.approx(
         1.0 / (2 * math.pi), rel=1e-12
     )
 
 
 def test_three_sigma_density():
     model = GaussianModel(mu=np.array([0.0]), sigma2=np.array([1.0]))
-    assert probability(model, [3.0]) == pytest.approx(
+    assert probabilities(model, [3.0])[0] == pytest.approx(
         math.exp(-4.5) / math.sqrt(2 * math.pi), rel=1e-12
     )
 
 
 def test_probability_shrinks_away_from_the_mean():
     model = GaussianModel(mu=np.array([0.0]), sigma2=np.array([2.0]))
-    values = [probability(model, [d]) for d in (0.0, 0.5, 1.0, 2.0, 4.0)]
+    values = probabilities(model, [0.0, 0.5, 1.0, 2.0, 4.0])
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -131,7 +131,7 @@ def test_single_outlier_is_the_only_flag():
                               rng.uniform(-0.5, 0.5, size=55)])
     report = detect(model, samples)
     assert list(report.flagged_indices()) == [100]
-    brute = [probability(model, [v]) < model.epsilon for v in samples]
+    brute = [probabilities(model, [v])[0] < model.epsilon for v in samples]
     assert list(np.flatnonzero(brute)) == [100]
 
 

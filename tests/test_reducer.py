@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from regwave.errors import FamilyMismatchError, LengthError, PolicyError
+from regwave.errors import FamilyMismatchError, InputError, LengthError, PolicyError
 from regwave.reducer import (
     ReducedRegister,
+    ReducedWindow,
     ReductionPolicy,
     compression_ratio,
     decompose,
@@ -46,16 +47,56 @@ def test_constant_signal_rides_the_approximation_chain():
     assert np.allclose(synthesize(red, fp), [5.0] * 8, atol=1e-9)
 
 
-def test_hand_built_register_synthesizes_to_constant():
-    fp = make_filter_pair("haar")
-    red = ReducedRegister(
+def _hand_built(**changes):
+    fields = dict(
         original_length=4,
         family="haar",
         path="L",
         coeffs=np.array([SQRT2, SQRT2]),
         sibling_energies=((4.0, 0.0),),
     )
-    assert np.allclose(synthesize(red, fp), [1, 1, 1, 1], atol=1e-12)
+    return ReducedRegister(**{**fields, **changes})
+
+
+def test_hand_built_register_synthesizes_to_constant():
+    fp = make_filter_pair("haar")
+    assert np.allclose(synthesize(_hand_built(), fp), [1, 1, 1, 1], atol=1e-12)
+
+
+INVALID_REGISTERS = {
+    "empty path": {"path": "", "sibling_energies": (), "coeffs": np.ones(4)},
+    "path letter X": {"path": "X"},
+    "no ledger": {"sibling_energies": ()},
+    "ledger too long": {"sibling_energies": ((4.0, 0.0), (4.0, 0.0))},
+    "length 6": {"original_length": 6, "coeffs": np.ones(3)},
+    "length 1": {"original_length": 1, "coeffs": np.ones(0)},
+    "length 8 from 2 coefficients": {"original_length": 8},
+    "3 coefficients": {"coeffs": np.ones(3)},
+    "2-D coefficients": {"coeffs": np.ones((1, 2))},
+    "depth 2 with 2 coefficients": {
+        "path": "LL", "sibling_energies": ((4.0, 0.0), (4.0, 0.0))
+    },
+    "depth 3 of 4 samples": {
+        "path": "LLL", "coeffs": np.ones(0), "sibling_energies": ((4.0, 0.0),) * 3
+    },
+    "nan coefficient": {"coeffs": np.array([SQRT2, np.nan])},
+    "inf coefficient": {"coeffs": np.array([np.inf, SQRT2])},
+    "-inf discarded energy": {"sibling_energies": ((4.0, -np.inf),)},
+    "nan kept energy": {"sibling_energies": ((np.nan, 0.0),)},
+}
+
+
+@pytest.mark.parametrize("changes", INVALID_REGISTERS.values(), ids=INVALID_REGISTERS)
+def test_invalid_register_is_refused(changes):
+    with pytest.raises(InputError):
+        _hand_built(**changes)
+
+
+def test_window_start_follows_from_its_index():
+    register = _hand_built()
+    assert [ReducedWindow(index=i, register=register).start for i in range(3)] == [0, 4, 8]
+    with pytest.raises(InputError):
+        ReducedWindow(index=-1, register=register)
 
 
 @pytest.mark.parametrize("family", ("haar", "db2"))
@@ -259,15 +300,24 @@ def test_floor_stopping_every_window_never_splits_a_block_shorter_than_the_filte
             )
 
 
-def test_synthesize_windows_rebuilds_mixed_lengths_in_input_order():
+def test_synthesize_windows_rebuilds_mixed_depths_in_input_order():
     fp = make_filter_pair("db2")
     rng = np.random.default_rng(3)
     reduced = [
-        decompose(rng.normal(size=n), fp, ReductionPolicy(max_depth=depth))
-        for n, depth in ((16, 1), (32, 2), (16, 2), (8, 1), (32, 1))
+        decompose(rng.normal(size=32), fp, ReductionPolicy(max_depth=depth))
+        for depth in (1, 3, 2, 1, 3)
     ]
     rebuilt = synthesize_windows(reduced, fp)
-    assert [len(window) for window in rebuilt] == [16, 32, 16, 8, 32]
+    assert rebuilt.shape == (5, 32)
     for red, window in zip(reduced, rebuilt):
         assert window.tobytes() == _lone_synthesize(red.path, red.coeffs, fp).tobytes()
-    assert synthesize_windows([], fp) == []
+    assert synthesize_windows([], fp).shape == (0, 0)
+
+
+def test_synthesize_windows_refuses_two_lengths():
+    fp = make_filter_pair("db2")
+    reduced = [
+        decompose(np.ones(n), fp, ReductionPolicy(max_depth=1)) for n in (16, 32, 16)
+    ]
+    with pytest.raises(LengthError, match=r"\[16, 32\]"):
+        synthesize_windows(reduced, fp)

@@ -11,7 +11,6 @@ from regwave.telemetry import (
     COUNTER_FIELDS,
     AnomalyScenario,
     Burst,
-    Collector,
     SwitchSim,
     TrafficProfile,
     _rng_for,
@@ -111,7 +110,7 @@ def test_counters_stay_monotone_under_everything():
 
 def test_poll_counts_and_cadence():
     sw = SwitchSim("s1", {1: steady(), 2: steady(rate=2000.0)}, seed=1)
-    store = poll(Collector(), [sw], interval=10.0, duration=2560.0)
+    store = poll([sw], interval=10.0, duration=2560.0)
     assert store.keys() == [("s1", 1), ("s1", 2)]
     for key in store.keys():
         snaps = store.snapshots(*key)
@@ -123,14 +122,14 @@ def test_poll_counts_and_cadence():
 
 def test_zero_duration_gives_empty_store():
     sw = SwitchSim("s1", {1: steady()}, seed=0)
-    store = poll(Collector(), [sw], interval=10.0, duration=0.0)
+    store = poll([sw], interval=10.0, duration=0.0)
     assert store.keys() == []
 
 
 def test_duration_must_be_a_multiple_of_interval():
     sw = SwitchSim("s1", {1: steady()}, seed=0)
     with pytest.raises(InputError):
-        poll(Collector(), [sw], interval=10.0, duration=25.0)
+        poll([sw], interval=10.0, duration=25.0)
 
 
 def _series_dump(store):
@@ -153,14 +152,13 @@ def make_switch(switch_id, seed=9):
 
 
 def test_same_seed_reproduces_the_store_exactly():
-    a = poll(Collector(), [make_switch("sw")], interval=10.0, duration=500.0)
-    b = poll(Collector(), [make_switch("sw")], interval=10.0, duration=500.0)
+    a = poll([make_switch("sw")], interval=10.0, duration=500.0)
+    b = poll([make_switch("sw")], interval=10.0, duration=500.0)
     assert _series_dump(a) == _series_dump(b)
 
 
 def test_parallel_run_equals_sequential_runs():
     together = poll(
-        Collector(),
         [make_switch("a"), make_switch("b"), make_switch("c")],
         interval=10.0,
         duration=400.0,
@@ -168,7 +166,7 @@ def test_parallel_run_equals_sequential_runs():
     alone = {}
     for name in ("a", "b", "c"):
         alone.update(
-            _series_dump(poll(Collector(), [make_switch(name)], interval=10.0, duration=400.0))
+            _series_dump(poll([make_switch(name)], interval=10.0, duration=400.0))
         )
     assert _series_dump(together) == alone
 
@@ -180,7 +178,7 @@ def test_delta_arithmetic():
 
 def test_full_run_is_window_ready():
     sw = SwitchSim("s1", {1: steady(jitter=0.05)}, seed=3)
-    store = poll(Collector(), [sw], interval=10.0, duration=2570.0)
+    store = poll([sw], interval=10.0, duration=2570.0)
     series = store.counter_series("s1", 1, "tx_bytes")
     assert series.shape[0] == 257
     assert deltas(series).shape[0] == 256
@@ -195,7 +193,7 @@ def test_decreasing_counter_is_a_contract_violation():
 
 def test_select_server_ports_filters_and_validates():
     sw = SwitchSim("s1", {1: steady(), 2: steady(), 3: steady()}, seed=0)
-    store = poll(Collector(), [sw], interval=10.0, duration=30.0)
+    store = poll([sw], interval=10.0, duration=30.0)
     only2 = select_server_ports(store, [("s1", 2)])
     assert only2.keys() == [("s1", 2)]
     assert len(only2.snapshots("s1", 2)) == 3
@@ -208,7 +206,7 @@ def test_select_server_ports_filters_and_validates():
 
 def test_counter_series_validates_the_field_name():
     sw = SwitchSim("s1", {1: steady()}, seed=0)
-    store = poll(Collector(), [sw], interval=10.0, duration=30.0)
+    store = poll([sw], interval=10.0, duration=30.0)
     with pytest.raises(UnknownPortError):
         store.counter_series("s1", 1, "bogus_field")
 
@@ -298,7 +296,6 @@ def test_columnar_kernel_matches_the_scalar_definition(interval):
     ]
     n_ticks = 24
     store = poll(
-        Collector(),
         [SwitchSim("k", profiles, scenarios, seed=4)],
         interval=interval,
         duration=interval * n_ticks,
@@ -333,7 +330,7 @@ def test_advance_k_times_equals_poll_over_k_ticks(interval):
 
     k = 37
     polled_switch = build()
-    store = poll(Collector(), [polled_switch], interval=interval, duration=interval * k)
+    store = poll([polled_switch], interval=interval, duration=interval * k)
     stepped = build()
     clock = 0.0
     for tick in range(k):
@@ -351,7 +348,7 @@ def test_advance_k_times_equals_poll_over_k_ticks(interval):
 
 
 def test_store_hands_out_read_only_arrays():
-    store = poll(Collector(), [SwitchSim("s1", {1: steady()}, seed=0)], duration=30.0)
+    store = poll([SwitchSim("s1", {1: steady()}, seed=0)], interval=10.0, duration=30.0)
     series = store.counter_series("s1", 1, "tx_bytes")
     assert series is store.counter_series("s1", 1, "tx_bytes")
     with pytest.raises(ValueError):
@@ -362,7 +359,7 @@ def test_store_hands_out_read_only_arrays():
 
 
 def test_snapshot_rows_match_the_columns():
-    store = poll(Collector(), [make_switch("sw")], interval=10.0, duration=100.0)
+    store = poll([make_switch("sw")], interval=10.0, duration=100.0)
     rows = store.snapshots("sw", 1)
     assert [s.tick for s in rows] == store.ticks("sw", 1).tolist()
     assert [s.timestamp_s for s in rows] == store.timestamps("sw", 1).tolist()
@@ -373,7 +370,7 @@ def test_snapshot_rows_match_the_columns():
 
 def test_select_server_ports_refuses_unknown_keys():
     sw = SwitchSim("s1", {1: steady(), 2: steady()}, seed=0)
-    store = poll(Collector(), [sw], interval=10.0, duration=30.0)
+    store = poll([sw], interval=10.0, duration=30.0)
     for key in (("s1", 3), ("s2", 1)):
         with pytest.raises(UnknownPortError):
             select_server_ports(store, [("s1", 1), key])
@@ -381,4 +378,4 @@ def test_select_server_ports_refuses_unknown_keys():
 
 def test_duplicate_switch_ids_are_refused():
     with pytest.raises(InputError):
-        poll(Collector(), [make_switch("a"), make_switch("a")], duration=30.0)
+        poll([make_switch("a"), make_switch("a")], interval=10.0, duration=30.0)
