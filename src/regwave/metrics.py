@@ -31,8 +31,6 @@ def _rmse_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _prd_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # energies() takes one dot product per row, which rounds as ``x @ x`` on
-    # that row alone; a sum over the axis would round differently.
     ref = energies(x)
     if not ref.all():
         raise UndefinedMetricError("prd is undefined for an all-zero reference")

@@ -9,7 +9,6 @@ floating point accuracy.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -56,13 +55,11 @@ FAMILIES = tuple(_LOWPASS)
 
 @dataclass(frozen=True)
 class FilterPair:
-    """Analysis and synthesis taps of one orthonormal filter bank."""
+    """Low-pass and high-pass taps of one orthonormal filter bank."""
 
     family: str
     lp: np.ndarray
     hp: np.ndarray
-    lp_syn: np.ndarray
-    hp_syn: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lp)
@@ -76,8 +73,8 @@ def make_filter_pair(family: str) -> FilterPair:
 
     Returns:
         A FilterPair whose high-pass taps mirror the low-pass ones
-        (``hp[i] = (-1)**i * lp[L-1-i]``) and whose synthesis taps are the
-        time-reversed analysis taps.
+        (``hp[i] = (-1)**i * lp[L-1-i]``).  Analysis and synthesis share
+        these taps.
 
     Raises:
         UnknownFamilyError: for any other family name.
@@ -89,10 +86,9 @@ def make_filter_pair(family: str) -> FilterPair:
     lp = np.array(taps, dtype=np.float64)
     signs = np.where(np.arange(len(lp)) % 2 == 0, 1.0, -1.0)
     hp = signs * lp[::-1]
-    pair = FilterPair(family, lp, hp, lp[::-1].copy(), hp[::-1].copy())
-    for arr in (pair.lp, pair.hp, pair.lp_syn, pair.hp_syn):
+    for arr in (lp, hp):
         arr.setflags(write=False)
-    return pair
+    return FilterPair(family, lp, hp)
 
 
 def _check_length(n: int, taps: int, what: str) -> None:
@@ -102,26 +98,18 @@ def _check_length(n: int, taps: int, what: str) -> None:
         raise LengthError(f"{what} length {n} is shorter than the filter ({taps} taps)")
 
 
-@functools.lru_cache(maxsize=64)
-def _circular_index(taps: int, n: int) -> np.ndarray:
-    """Row k, column i holds ``(2k - i) mod n``: the sample that tap i of
-    output k of an analysis step reads."""
-    k = np.arange(n // 2)
-    idx = (2 * k[:, None] - np.arange(taps)[None, :]) % n
-    idx.setflags(write=False)
-    return idx
-
-
 def analysis_step(signal, filters: FilterPair) -> tuple[np.ndarray, np.ndarray]:
     """Split signals into approximation and detail halves along the last axis.
 
     Output sample k of each branch is the circular correlation
     ``sum_i taps[i] * signal[(2k - i) mod N]``, i.e. the even-indexed phase of
-    a periodic convolution.  A ``(windows, N)`` matrix is split in one gather
-    and one matrix-vector product per branch over all its rows.  For every
-    power-of-two N each row then equals the split of that row alone bit for
-    bit; for other lengths the BLAS kernel may round rows of a batch
-    differently from a lone window.
+    a periodic convolution.  The sum is taken in tap order, starting from
+    +0.0, the way :func:`synthesis_step` adds its taps: tap i reads every
+    sample of parity ``i % 2``, shifted circularly by ``(i + 1) // 2``, as
+    one strided slice of the signal with its last L samples wrapped in
+    front.  Every output is a fixed sequence of numpy multiplications and
+    additions, so it is the same on any IEEE platform, and each row of a
+    ``(windows, N)`` matrix equals the split of that row alone bit for bit.
 
     Args:
         signal: array of shape ``(..., N)`` with N even and at least as long
@@ -134,18 +122,17 @@ def analysis_step(signal, filters: FilterPair) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim < 1:
         raise LengthError(f"expected a signal with a sample axis, got shape {x.shape}")
     n = x.shape[-1]
-    _check_length(n, len(filters), "signal")
-    windows = x[..., _circular_index(len(filters), n)].reshape(-1, len(filters))
-    shape = x.shape[:-1] + (n // 2,)
-    if n == 2:
-        # numpy takes a one-row product as a vector dot, which rounds unlike
-        # a matrix-vector product; one dot per window keeps a batch equal to
-        # its windows.
-        windows = windows[:, None, :]
-        return (windows @ filters.lp[:, None]).reshape(shape), (
-            windows @ filters.hp[:, None]
-        ).reshape(shape)
-    return (windows @ filters.lp).reshape(shape), (windows @ filters.hp).reshape(shape)
+    taps = len(filters)
+    _check_length(n, taps, "signal")
+    # wrapped[taps + j] == x[j mod n] for -taps <= j < n.
+    wrapped = np.concatenate((x[..., n - taps :], x), axis=-1)
+    approx = np.zeros(x.shape[:-1] + (n // 2,))
+    detail = np.zeros_like(approx)
+    for i in range(taps):
+        v = wrapped[..., taps - i : taps - i + n : 2]
+        approx += filters.lp[i] * v
+        detail += filters.hp[i] * v
+    return approx, detail
 
 
 def synthesis_step(approx, detail, filters: FilterPair) -> np.ndarray:
@@ -182,14 +169,14 @@ def synthesis_step(approx, detail, filters: FilterPair) -> np.ndarray:
 def energies(blocks) -> np.ndarray:
     """Sum of squares of every row of a ``(windows, m)`` matrix.
 
-    Each row is one vector dot product, so every entry equals
-    ``energy(row)`` bit for bit.
+    One ``np.add.reduce`` over C-contiguous rows: numpy sums each row
+    pairwise, in an order fixed by the row's length alone, so every entry
+    equals ``energy(row)`` bit for bit.
     """
-    v = np.asarray(blocks, dtype=np.float64)
-    return (v[:, None, :] @ v[:, :, None]).reshape(v.shape[0])
+    v = np.ascontiguousarray(blocks, dtype=np.float64)
+    return np.add.reduce(v * v, axis=-1)
 
 
 def energy(values) -> float:
-    """Sum of squares; zero for an empty block."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    return float(v @ v) if v.size else 0.0
+    """Sum of squares; zero for an empty block.  One row of :func:`energies`."""
+    return float(energies(np.ravel(values)[None])[0])

@@ -41,14 +41,14 @@ def ref_report(compression, original, synthesized, probs_o, probs_s, eps):
     a = set(int(i) for i in np.flatnonzero(probs_o < eps))
     b = set(int(i) for i in np.flatnonzero(probs_s < eps))
     hits = len(a & b)
-    ref = float(original @ original)
+    ref = float(np.add.reduce(original * original))
     if ref == 0.0:
         raise UndefinedMetricError("prd is undefined for an all-zero reference")
     diff = original - synthesized
     return ComparisonReport(
         compression_ratio=compression,
         rmse=math.sqrt(float(np.mean(diff**2))),
-        prd=100.0 * math.sqrt(float(diff @ diff) / ref),
+        prd=100.0 * math.sqrt(float(np.add.reduce(diff * diff)) / ref),
         flags_original=tuple(sorted(a)),
         flags_synthesized=tuple(sorted(b)),
         jaccard=len(a & b) / len(a | b) if a | b else 1.0,

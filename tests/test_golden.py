@@ -1,18 +1,29 @@
 """Byte-identity guard for the simulator, the CSV export, reduce and compare.
 
-The digests below were recorded on the per-tick object simulator that the
-columnar kernel replaced.  They must never be regenerated: if one moves,
-the arithmetic changed (a volume sum rounded differently, a jitter draw
-moved, a float printed differently), and the fix belongs in the code.
+The simulate digests below were recorded on the per-tick object simulator
+that the columnar kernel replaced.  They must never be regenerated: if one
+moves, the arithmetic changed (a volume sum rounded differently, a jitter
+draw moved, a float printed differently), and the fix belongs in the code.
+
+The two spike-demo digests moved once, when the analysis step and the
+energies stopped calling BLAS: the old values held only under OpenBLAS's
+AVX-512 kernel, and other kernels rounded the dot products differently.
+Every digest now follows from numpy's own elementwise operations and
+pairwise sums, so none depends on the BLAS library or the CPU it selects.
 """
 
 import contextlib
 import hashlib
 import importlib.resources
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import regwave
 from regwave.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -46,8 +57,8 @@ SIMULATE_INTERVAL_DIGESTS = {
         "22f9d111a9867c5d1b78683010716a8df81602d6ab308687dabcef4abc3a2a75",
 }
 
-SPIKE_DEMO_REDUCED = "6b7bff7abee0441db9c714c75f371622059c92cc9b339706279a05fc577831b6"
-SPIKE_DEMO_REPORT = "41b3835cbc00b7cbbcd325d0161ae5dc2e5a226f4fc6a5ff131e1dac5063ba82"
+SPIKE_DEMO_REDUCED = "0835fbad5f8fa7cacb88616e59443ae8f396270ccc3880bd1780f28804337295"
+SPIKE_DEMO_REPORT = "ba9f311f0fdc67192a9727c93c872e53a18822cd6d4e18f5fbee1e73c748b84f"
 
 
 def _scenario_path(name):
@@ -79,20 +90,29 @@ def simulate_digest(name: str, seed: int, out: Path, *flags: str) -> str:
     return tree_digest(out)
 
 
+def spike_demo_commands(scn: Path) -> list[list[str]]:
+    """Simulate the spike demo at seed 2, then reduce and compare one
+    register, with paths relative to the working directory so the
+    documents' source fields do not depend on it."""
+    register = "sim/s1_p1_tx_bytes.csv"
+    return [
+        ["simulate", str(scn), "--seed", "2", "--out", "sim"],
+        ["reduce", register, "--out", "red.json"],
+        ["compare", register, "red.json", "--train", "512", "--quantile", "0.001",
+         "--out", "cmp"],
+    ]
+
+
+def spike_demo_outputs(workdir: Path) -> tuple[str, str]:
+    return file_digest(workdir / "red.json"), file_digest(workdir / "cmp" / "report.json")
+
+
 def spike_demo_digests(workdir: Path, monkeypatch) -> tuple[str, str]:
-    """Reduce and compare the spike demo at seed 2, with paths relative to
-    workdir so the documents' source fields do not depend on it."""
     monkeypatch.chdir(workdir)
     with _scenario_path("spike-demo.scn") as scn:
-        assert main(["simulate", str(scn), "--seed", "2", "--out", "sim"]) == 0
-    register = "sim/s1_p1_tx_bytes.csv"
-    assert main(["reduce", register, "--out", "red.json"]) == 0
-    assert main(
-        ["compare", register, "red.json", "--train", "512", "--quantile", "0.001",
-         "--out", "cmp"]
-    ) == 0
-    report = workdir / "cmp" / "report.json"
-    return file_digest(workdir / "red.json"), file_digest(report)
+        for argv in spike_demo_commands(scn):
+            assert main(argv) == 0
+    return spike_demo_outputs(workdir)
 
 
 @pytest.mark.parametrize("name,seed", sorted(SIMULATE_DIGESTS))
@@ -113,3 +133,27 @@ def test_spike_demo_reduce_and_compare_are_byte_identical(tmp_path, monkeypatch)
     reduced, report = spike_demo_digests(tmp_path, monkeypatch)
     assert reduced == SPIKE_DEMO_REDUCED
     assert report == SPIKE_DEMO_REPORT
+
+
+@pytest.mark.parametrize("coretype", ("Haswell", "Prescott"))
+def test_spike_demo_digests_hold_under_other_openblas_kernels(coretype, tmp_path):
+    # OpenBLAS picks its kernel once, when it loads, so the pipeline runs in
+    # a child process with OPENBLAS_CORETYPE set in its environment only.
+    # Any other BLAS ignores the variable; the child then repeats the
+    # in-process run above.
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    src = str(Path(regwave.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = (
+        "import json, sys\n"
+        "from regwave.cli import main\n"
+        "sys.exit(0 if all(main(a) == 0 for a in json.loads(sys.argv[1])) else 1)\n"
+    )
+    with _scenario_path("spike-demo.scn") as scn:
+        commands = json.dumps(spike_demo_commands(scn.resolve()))
+        run = subprocess.run(
+            [sys.executable, "-c", child, commands],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+    assert run.returncode == 0, run.stderr
+    assert spike_demo_outputs(tmp_path) == (SPIKE_DEMO_REDUCED, SPIKE_DEMO_REPORT)

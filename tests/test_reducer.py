@@ -202,14 +202,21 @@ def test_family_mismatch_refused_at_synthesis():
         synthesize(red, make_filter_pair("db2"))
 
 
+def _lone_split(x, taps):
+    # out[k] = sum_i taps[i] * x[(2k - i) mod n], summed in tap order.
+    out = np.zeros(len(x) // 2)
+    for i, h in enumerate(taps):
+        out += h * np.roll(x[i % 2 :: 2], (i + 1) // 2)
+    return out
+
+
 def _lone_decompose(x, fp, depth, floor):
     # The per-window greedy descent that the batched form replaced.
-    coeffs, path, ledger, node_energy = x, "", [], float(x @ x)
+    coeffs, path, ledger, node_energy = x, "", [], None
     for level in range(1, depth + 1):
-        n = len(coeffs)
-        idx = (2 * np.arange(n // 2)[:, None] - np.arange(len(fp))[None, :]) % n
-        approx, detail = coeffs[idx] @ fp.lp, coeffs[idx] @ fp.hp
-        e_lo, e_hi = float(approx @ approx), float(detail @ detail)
+        approx, detail = _lone_split(coeffs, fp.lp), _lone_split(coeffs, fp.hp)
+        e_lo = float(np.add.reduce(approx * approx))
+        e_hi = float(np.add.reduce(detail * detail))
         branch, block, kept, discarded = (
             ("H", detail, e_hi, e_lo) if e_hi > e_lo else ("L", approx, e_lo, e_hi)
         )
@@ -267,8 +274,7 @@ def test_batched_reduction_equals_lone_windows_bit_for_bit(family, depth, floor,
 
 
 def test_full_depth_haar_batch_equals_lone_windows():
-    # A 2-sample block is split by a one-row product, the corner where a
-    # batch could round differently from a lone window.
+    # Full depth ends by splitting 2-sample blocks, the shortest a split takes.
     fp = make_filter_pair("haar")
     x = _mixed_windows(9, 8, 5)
     for red, row in zip(decompose_windows(x, fp, ReductionPolicy(max_depth=3)), x):
