@@ -22,10 +22,9 @@ from .gaussian import (
     calibrate,
     detect,
     fit,
-    probabilities,
     select_threshold,
 )
-from .metrics import ComparisonReport, jaccard, prd, rmse
+from .metrics import ComparisonReport
 from .reducer import (
     ReducedRegister,
     ReductionPolicy,
@@ -89,12 +88,8 @@ __all__ = [
     "detect",
     "energy",
     "fit",
-    "jaccard",
     "make_filter_pair",
     "poll",
-    "prd",
-    "probabilities",
-    "rmse",
     "select_server_ports",
     "select_threshold",
     "synthesis_step",

@@ -1,9 +1,11 @@
 """Command line pipeline: simulate, reduce, synthesize, detect, compare.
 
-Every verb accepts the shared flags (--seed, --out, --family, --depth,
---window, --interval, --quantile) even where a verb has no use for one, so
-invocations can be assembled uniformly.  Exit codes: 0 on success, 2 for
-input or parse problems, 3 for violated data contracts.
+Each verb takes only the flags it reads, and argparse refuses any other
+(exit 2) before anything is read or written.  synthesize and compare take
+family, window size and depth from the reduced file alone.  A saved --model
+fixes its own threshold, so detect and compare refuse --train and --quantile
+next to it.  Exit codes: 0 on success, 2 for input or parse problems, 3 for
+violated data contracts.
 """
 
 from __future__ import annotations
@@ -30,32 +32,18 @@ EXIT_INPUT = 2
 EXIT_CONTRACT = 3
 
 
-def _add_common(sub: argparse.ArgumentParser, out_required: bool = True) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
+def _add_detector_flags(sub: argparse.ArgumentParser, train_help: str) -> None:
+    """The flags detect and compare share: where the model comes from."""
+    sub.add_argument("--out", required=True, help="output directory")
+    sub.add_argument("--train", type=int, help=train_help)
     sub.add_argument(
-        "--out", required=out_required, help="output file or directory"
-    )
-    sub.add_argument(
-        "--family",
-        default=None,
-        help="wavelet family: haar, db2, db3, db4 (default db2)",
-    )
-    sub.add_argument(
-        "--depth", type=int, default=None, help="reduction depth (default 1)"
-    )
-    sub.add_argument(
-        "--window", type=int, default=None, help="window size in samples (default 256)"
-    )
-    sub.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        help="polling interval in seconds (default 10, scenario file may set it)",
+        "--model",
+        help="score with a saved model file, whose threshold is used as is "
+        "(excludes --train and --quantile)",
     )
     sub.add_argument(
         "--quantile",
         type=float,
-        default=0.01,
         help="training quantile for the detection threshold (default 0.01)",
     )
 
@@ -71,16 +59,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="run a scenario and export counter CSVs")
     p.add_argument("scenario", help="scenario file")
+    p.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument(
+        "--interval",
+        type=float,
+        default=None,
+        help="polling interval in seconds (default: the scenario's)",
+    )
     p.add_argument(
         "--server-ports-only",
         action="store_true",
         help="export only the ports marked server_ports in the scenario",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("reduce", help="difference a counter CSV and reduce each window")
     p.add_argument("register", help="counter CSV from simulate")
+    p.add_argument("--out", required=True, help="reduced-register file to write")
+    p.add_argument(
+        "--family", default="db2", help="wavelet family: haar, db2, db3, db4 (default db2)"
+    )
+    p.add_argument("--depth", type=int, default=1, help="reduction depth (default 1)")
+    p.add_argument(
+        "--window", type=int, default=256, help="window size in samples (default 256)"
+    )
     p.add_argument(
         "--min-energy-ratio",
         type=float,
@@ -88,24 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop descending when the kept child falls below this fraction "
         "of parent energy (default 0, disabled)",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_reduce)
 
     p = subs.add_parser("synthesize", help="rebuild a series from a reduced file")
     p.add_argument("reduced", help="reduced-register file")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="series CSV to write")
     p.set_defaults(func=cmd_synthesize)
 
     p = subs.add_parser("detect", help="fit the Gaussian detector and flag a series")
     p.add_argument("register", help="counter CSV from simulate")
-    p.add_argument(
-        "--train",
-        type=int,
-        default=0,
-        help="fit on the first N delta samples (default: the whole series)",
+    _add_detector_flags(
+        p, "fit on the first N delta samples (default: the whole series)"
     )
-    p.add_argument("--model", default=None, help="reuse a saved model file")
-    _add_common(p)
     p.set_defaults(func=cmd_detect)
 
     p = subs.add_parser(
@@ -113,15 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("register", help="counter CSV the reduced file was built from")
     p.add_argument("reduced", help="reduced-register file")
-    p.add_argument(
-        "--train",
-        type=int,
-        default=0,
-        help="fit one model on the first N delta samples "
+    _add_detector_flags(
+        p,
+        "fit one model on the first N delta samples "
         "(default: fit per window on its own samples)",
     )
-    p.add_argument("--model", default=None, help="score with a saved model file")
-    _add_common(p)
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -146,19 +139,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _effective(value, default):
-    return default if value is None else value
-
-
 def cmd_reduce(args) -> int:
-    family = _effective(args.family, "db2")
-    depth = _effective(args.depth, 1)
-    window = _effective(args.window, 256)
     _, _, counters = formats.read_register_csv(args.register)
     series = deltas(counters)
-    filters = make_filter_pair(family)
-    policy = ReductionPolicy(max_depth=depth, min_energy_ratio=args.min_energy_ratio)
-    windows, dropped = pipeline.reduce_series(series, filters, policy, window)
+    filters = make_filter_pair(args.family)
+    policy = ReductionPolicy(max_depth=args.depth, min_energy_ratio=args.min_energy_ratio)
+    windows, dropped = pipeline.reduce_series(series, filters, policy, args.window)
     if dropped:
         print(
             f"warning: {dropped} trailing samples do not fill a window and were "
@@ -168,9 +154,9 @@ def cmd_reduce(args) -> int:
     formats.write_reduced_file(
         args.out,
         windows,
-        family=family,
-        window_size=window,
-        depth=depth,
+        family=args.family,
+        window_size=args.window,
+        depth=args.depth,
         min_energy_ratio=args.min_energy_ratio,
         source=args.register,
         total_samples=int(series.shape[0]),
@@ -178,26 +164,14 @@ def cmd_reduce(args) -> int:
     )
     kept = windows[0].register.coeffs.shape[0]
     print(
-        f"reduced {len(windows)} window(s) of {window} samples to {kept} "
+        f"reduced {len(windows)} window(s) of {args.window} samples to {kept} "
         f"coefficients each (path {windows[0].register.path!r}) in {args.out}"
     )
     return EXIT_OK
 
 
-def _check_flags_agree(args, meta) -> None:
-    """Refuse a --family, --window or --depth that contradicts a reduced file."""
-    for flag, key in (("family", "family"), ("window", "window_size"), ("depth", "depth")):
-        given = getattr(args, flag)
-        if given is not None and given != meta[key]:
-            raise InputError(
-                f"--{flag} {given!r} conflicts with the reduced file's "
-                f"{key} {meta[key]!r}"
-            )
-
-
 def cmd_synthesize(args) -> int:
     meta, windows = formats.read_reduced_file(args.reduced)
-    _check_flags_agree(args, meta)
     filters = make_filter_pair(meta["family"])
     rebuilt = synthesize_windows([w.register for w in windows], filters)
     starts = np.array([w.start for w in windows], dtype=np.int64)
@@ -209,21 +183,37 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+def _model_and_quantile(args) -> tuple[gaussian.GaussianModel | None, float | None]:
+    """The saved --model of detect or compare and the quantile of its threshold,
+    or None and the quantile the verb fits with.
+
+    A saved model fixes its own threshold, so --train and --quantile are
+    refused next to it rather than ignored.
+    """
+    if args.model is None:
+        return None, 0.01 if args.quantile is None else args.quantile
+    for flag in ("train", "quantile"):
+        if getattr(args, flag) is not None:
+            raise InputError(f"--{flag} cannot be combined with --model")
+    model, _ = formats.read_model_file(args.model)
+    return model, model.quantile
+
+
 def cmd_detect(args) -> int:
+    model, quantile = _model_and_quantile(args)
     _, _, counters = formats.read_register_csv(args.register)
     series = deltas(counters).astype(np.float64)
-    if args.model:
-        model, _ = formats.read_model_file(args.model)
+    if model is not None:
         if model.epsilon is None:
             raise InputError(f"model {args.model} carries no epsilon")
         trained_on = f"model file {args.model}"
     else:
-        train = args.train if args.train else series.shape[0]
+        train = args.train or series.shape[0]
         if train < 2 or train > series.shape[0]:
             raise InputError(
                 f"--train must lie in [2, {series.shape[0]}], got {train}"
             )
-        model = pipeline.fit_series_model(series[:train], args.quantile)
+        model = pipeline.fit_series_model(series[:train], quantile)
         trained_on = f"{args.register}[0:{train})"
     report = gaussian.detect(model, series)
     os.makedirs(args.out, exist_ok=True)
@@ -247,21 +237,13 @@ def cmd_detect(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    model, quantile = _model_and_quantile(args)
     _, _, counters = formats.read_register_csv(args.register)
     series = deltas(counters).astype(np.float64)
     meta, windows = formats.read_reduced_file(args.reduced)
-    _check_flags_agree(args, meta)
     filters = make_filter_pair(meta["family"])
-    model = None
-    if args.model:
-        model, _ = formats.read_model_file(args.model)
     results = pipeline.compare_windows(
-        series,
-        windows,
-        filters,
-        model=model,
-        train=args.train,
-        quantile=args.quantile,
+        series, windows, filters, model=model, train=args.train or 0, quantile=quantile
     )
     os.makedirs(args.out, exist_ok=True)
     doc = {
@@ -270,7 +252,7 @@ def cmd_compare(args) -> int:
         "family": meta["family"],
         "window_size": meta["window_size"],
         "depth": meta["depth"],
-        "quantile": args.quantile,
+        "quantile": quantile,
         "windows": [],
     }
     for res in results:

@@ -28,10 +28,6 @@ class GaussianModel:
     epsilon: float | None = None
     quantile: float | None = None
 
-    @property
-    def n_features(self) -> int:
-        return self.mu.shape[0]
-
 
 @dataclass(frozen=True)
 class AnomalyReport:
@@ -148,15 +144,6 @@ def fit(samples) -> GaussianModel:
 
 def _one_row(model: GaussianModel) -> tuple[np.ndarray, np.ndarray]:
     return model.mu[None], model.sigma2[None]
-
-
-def log_probabilities(model: GaussianModel, samples) -> np.ndarray:
-    """Log density of each sample under the model, summed over features."""
-    return log_probability_rows(*_one_row(model), as_feature_matrix(samples)[None])[0]
-
-
-def probabilities(model: GaussianModel, samples) -> np.ndarray:
-    return np.exp(log_probabilities(model, samples))
 
 
 def select_threshold(train_probabilities, quantile: float = 0.01) -> float:

@@ -10,12 +10,6 @@ from .errors import LengthError, UndefinedMetricError
 from .wavelets import energies
 
 
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(a, dtype=np.float64).ravel()
-    y = np.asarray(b, dtype=np.float64).ravel()
-    return _rows(x[None], y[None])
-
-
 def _rows(a, b) -> tuple[np.ndarray, np.ndarray]:
     x = np.ascontiguousarray(a, dtype=np.float64)
     y = np.ascontiguousarray(b, dtype=np.float64)
@@ -35,23 +29,6 @@ def _prd_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if not ref.all():
         raise UndefinedMetricError("prd is undefined for an all-zero reference")
     return 100.0 * np.sqrt(energies(x - y) / ref)
-
-
-def rmse(a, b) -> float:
-    return float(_rmse_rows(*_pair(a, b))[0])
-
-
-def prd(a, b) -> float:
-    """Percent root-mean-square difference relative to the first argument."""
-    return float(_prd_rows(*_pair(a, b))[0])
-
-
-def jaccard(a, b) -> float:
-    """Set overlap |A & B| / |A | B|; two empty sets count as full agreement."""
-    sa, sb = set(a), set(b)
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
 
 
 @dataclass(frozen=True)

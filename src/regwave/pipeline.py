@@ -25,15 +25,6 @@ from .reducer import (
 from .wavelets import FilterPair
 
 
-def window_slices(n_samples: int, window: int) -> tuple[list[tuple[int, int]], int]:
-    """Consecutive [start, stop) spans of full windows, plus the dropped tail."""
-    if window < 2:
-        raise InsufficientDataError(f"window must be at least 2, got {window}")
-    n_windows = n_samples // window
-    spans = [(i * window, (i + 1) * window) for i in range(n_windows)]
-    return spans, n_samples - n_windows * window
-
-
 def reduce_series(
     values,
     filters: FilterPair,
@@ -41,13 +32,15 @@ def reduce_series(
     window: int,
 ) -> tuple[list[ReducedWindow], int]:
     """Reduce every full window of a series; returns windows and dropped count."""
+    if window < 2:
+        raise InsufficientDataError(f"window must be at least 2, got {window}")
     x = np.asarray(values, dtype=np.float64)
-    spans, dropped = window_slices(x.shape[0], window)
-    if not spans:
+    n_windows, dropped = divmod(x.shape[0], window)
+    if not n_windows:
         raise InsufficientDataError(
             f"series of {x.shape[0]} samples holds no {window}-sample window"
         )
-    matrix = x[: len(spans) * window].reshape(len(spans), window)
+    matrix = x[: n_windows * window].reshape(n_windows, window)
     registers = decompose_windows(matrix, filters, policy)
     out = [ReducedWindow(index=index, register=r) for index, r in enumerate(registers)]
     return out, dropped

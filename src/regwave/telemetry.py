@@ -261,10 +261,6 @@ class SwitchSim:
         self.clock = float(edges[-1])
         return edges[1:], columns
 
-    def advance(self, dt: float) -> None:
-        """Accrue dt seconds of traffic on every port: one tick of run()."""
-        self.run(1, dt)
-
 
 @dataclass(frozen=True)
 class Snapshot:

@@ -1,11 +1,21 @@
+import argparse
 import importlib.resources
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regwave.cli import main
+import regwave
+from regwave.cli import build_parser, main
 from regwave.formats import read_register_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def bundled(name):
@@ -121,16 +131,12 @@ def test_synthesize_rebuilds_all_windows(video_sim, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--depth", "5"], "--depth 5 conflicts with the reduced file's depth 1"),
-        (["--window", "128"], "--window 128 conflicts with the reduced file's window_size 64"),
-        (["--family", "db4"], "--family 'db4' conflicts with the reduced file's family 'db2'"),
-    ],
+    "flags",
+    [["--depth", "5"], ["--window", "128"], ["--family", "db4"]],
     ids=["depth", "window", "family"],
 )
 def test_synthesize_refuses_flags_that_contradict_the_reduced_file(
-    video_sim, tmp_path, capsys, flags, message
+    video_sim, tmp_path, capsys, flags
 ):
     red = tmp_path / "red.json"
     out = tmp_path / "synth.csv"
@@ -139,21 +145,11 @@ def test_synthesize_refuses_flags_that_contradict_the_reduced_file(
          "--out", str(red)]
     ) == 0
     capsys.readouterr()
-    assert main(["synthesize", str(red), *flags, "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", str(red), *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_synthesize_accepts_flags_that_agree_with_the_reduced_file(video_sim, tmp_path):
-    red = tmp_path / "red.json"
-    assert main(
-        ["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "64",
-         "--depth", "2", "--out", str(red)]
-    ) == 0
-    assert main(
-        ["synthesize", str(red), "--family", "db2", "--depth", "2", "--window", "64",
-         "--out", str(tmp_path / "synth.csv")]
-    ) == 0
 
 
 def test_non_finite_coefficient_exits_two(video_sim, tmp_path, capsys):
@@ -390,17 +386,21 @@ def test_misaligned_compare_exits_three(video_sim, tmp_path):
     assert rc == 3
 
 
-def test_conflicting_window_flag_exits_two(video_sim, tmp_path):
+def test_conflicting_window_flag_exits_two(video_sim, tmp_path, capsys):
     red = tmp_path / "red.json"
     assert main(
         ["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "128",
          "--out", str(red)]
     ) == 0
-    rc = main(
-        ["compare", str(video_sim / "s1_p1_tx_bytes.csv"), str(red),
-         "--window", "256", "--out", str(tmp_path / "c")]
-    )
-    assert rc == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["compare", str(video_sim / "s1_p1_tx_bytes.csv"), str(red),
+             "--window", "256", "--out", str(tmp_path / "c")]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window 256" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_counter_beyond_int64_exits_two(tmp_path, capsys):
@@ -432,3 +432,140 @@ def test_non_utf8_input_exits_two(tmp_path, capsys, name, argv):
     assert main(argv(str(bad), tmp_path)) == 2
     err = capsys.readouterr().err
     assert f"{bad}:3: not UTF-8 text: byte 0xff" in err
+
+
+VERB_FLAGS = {
+    "simulate": {"--seed", "--out", "--interval", "--server-ports-only"},
+    "reduce": {"--out", "--family", "--depth", "--window", "--min-energy-ratio"},
+    "synthesize": {"--out"},
+    "detect": {"--out", "--train", "--model", "--quantile"},
+    "compare": {"--out", "--train", "--model", "--quantile"},
+}
+
+# The flags besides --out that every verb used to accept, each with a value.
+OLD_SHARED_FLAGS = {
+    "--seed": "3", "--family": "db2", "--depth": "1", "--window": "64",
+    "--interval": "10", "--quantile": "0.01",
+}
+
+DROPPED = [
+    (verb, flag)
+    for verb, kept in VERB_FLAGS.items()
+    for flag in OLD_SHARED_FLAGS
+    if flag not in kept
+]
+
+
+def _options(parser):
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def _verb_parsers():
+    parser = build_parser()
+    [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, subs.choices
+
+
+def test_each_verb_takes_exactly_its_flags():
+    parser, verbs = _verb_parsers()
+    assert _options(parser) == {"--version"}
+    assert {verb: _options(p) for verb, p in verbs.items()} == VERB_FLAGS
+    assert sum(map(len, VERB_FLAGS.values())) == 18
+    assert len(DROPPED) == 23
+
+
+@pytest.fixture(scope="module")
+def round_trip_inputs(tmp_path_factory):
+    """A register, its reduced file and a saved model, each made by the CLI."""
+    root = tmp_path_factory.mktemp("inputs")
+    register = str(root / "sim" / "s1_p1_tx_bytes.csv")
+    red = str(root / "red.json")
+    with importlib.resources.as_file(bundled("video-42min.scn")) as scn:
+        assert main(["simulate", str(scn), "--out", str(root / "sim")]) == 0
+        assert main(["reduce", register, "--window", "64", "--out", red]) == 0
+        assert main(["detect", register, "--quantile", "0.05", "--out", str(root / "det")]) == 0
+        yield {
+            "simulate": [str(scn)],
+            "reduce": [register, "--window", "64"],
+            "synthesize": [red],
+            "detect": [register],
+            "compare": [register, red],
+            "model": str(root / "det" / "model.json"),
+        }
+
+
+@pytest.mark.parametrize("verb, flag", DROPPED, ids=[f"{v}{f}" for v, f in DROPPED])
+def test_dropped_flag_exits_two_and_writes_nothing(round_trip_inputs, tmp_path, capsys,
+                                                   verb, flag):
+    out = tmp_path / "out"
+    argv = [verb, *round_trip_inputs[verb], "--out", str(out)]
+    assert main(argv) == 0  # the same call without the dropped flag succeeds
+    assert out.exists()
+    out = tmp_path / "refused"
+    argv = [verb, *round_trip_inputs[verb], flag, OLD_SHARED_FLAGS[flag], "--out", str(out)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["detect", "compare"])
+@pytest.mark.parametrize("flag", [["--train", "128"], ["--quantile", "0.01"]],
+                         ids=["train", "quantile"])
+def test_model_excludes_train_and_quantile(round_trip_inputs, tmp_path, capsys, verb,
+                                           flag):
+    out = tmp_path / "out"
+    argv = [verb, *round_trip_inputs[verb], "--model", round_trip_inputs["model"]]
+    capsys.readouterr()
+    assert main([*argv, *flag, "--out", str(out)]) == 2
+    assert f"{flag[0]} cannot be combined with --model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_report_records_the_models_quantile(round_trip_inputs, tmp_path):
+    register, red = round_trip_inputs["compare"]
+    out = tmp_path / "cmp"
+    assert main(["compare", register, red, "--model", round_trip_inputs["model"],
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["quantile"] == 0.05
+
+
+def _run_cli(args, cwd):
+    env = dict(os.environ)
+    src = str(Path(regwave.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "regwave.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def _readme_round_trip():
+    text = README.read_text()
+    start = text.index("```sh\n", text.index("A full round trip")) + 6
+    block = text[start:text.index("\n```", start)]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("regwave ")]
+
+
+def test_readme_round_trip_exits_zero_and_a_dropped_flag_exits_two(tmp_path):
+    commands = _readme_round_trip()
+    assert [c[0] for c in commands] == list(VERB_FLAGS)
+    with importlib.resources.as_file(bundled("video-42min.scn")) as scn:
+        for args in commands:
+            args = [str(scn) if a == "$SCN" else a for a in args]
+            run = _run_cli(args, tmp_path)
+            assert run.returncode == 0, run.stderr
+    assert (tmp_path / "comparison" / "report.json").exists()
+    run = _run_cli(["detect", "sim/s1_p1_tx_bytes.csv", "--window", "64",
+                    "--out", "refused/"], tmp_path)
+    assert run.returncode == 2
+    assert "unrecognized arguments: --window 64" in run.stderr
+    assert not (tmp_path / "refused").exists()
+
+
+def test_readme_synopses_name_each_verbs_flags():
+    _, verbs = _verb_parsers()
+    synopses = re.findall(r"^`regwave (\w+) (.*)`$", README.read_text(), re.MULTILINE)
+    assert sorted(verb for verb, _ in synopses) == sorted(VERB_FLAGS)
+    for verb, line in synopses:
+        assert set(re.findall(r"--[a-z][a-z-]*", line)) == _options(verbs[verb]), verb

@@ -5,11 +5,10 @@ import pytest
 
 from regwave.errors import DataError, InsufficientDataError, LengthError
 from regwave.gaussian import (
-    GaussianModel,
     calibrate,
     detect,
     fit,
-    probabilities,
+    log_probability_rows,
     select_threshold,
 )
 
@@ -58,37 +57,38 @@ def test_fit_rejects_small_or_bad_input():
         fit(np.array([1.0, float("nan"), 2.0]))
 
 
+def density(mu, sigma2, samples):
+    """Densities of one row of samples, shape (m, k), under one (k,) model."""
+    log_p = log_probability_rows(np.array([mu]), np.array([sigma2]), np.array([samples]))
+    return np.exp(log_p[0])
+
+
 def test_density_at_the_mean():
-    model = GaussianModel(mu=np.array([0.0]), sigma2=np.array([1.0]))
-    assert probabilities(model, [0.0])[0] == pytest.approx(
+    assert density([0.0], [1.0], [[0.0]])[0] == pytest.approx(
         1.0 / math.sqrt(2 * math.pi), rel=1e-12
     )
 
 
 def test_two_features_multiply():
-    model = GaussianModel(mu=np.array([1.0, -1.0]), sigma2=np.array([1.0, 1.0]))
-    assert probabilities(model, [[1.0, -1.0]])[0] == pytest.approx(
+    assert density([1.0, -1.0], [1.0, 1.0], [[1.0, -1.0]])[0] == pytest.approx(
         1.0 / (2 * math.pi), rel=1e-12
     )
 
 
 def test_three_sigma_density():
-    model = GaussianModel(mu=np.array([0.0]), sigma2=np.array([1.0]))
-    assert probabilities(model, [3.0])[0] == pytest.approx(
+    assert density([0.0], [1.0], [[3.0]])[0] == pytest.approx(
         math.exp(-4.5) / math.sqrt(2 * math.pi), rel=1e-12
     )
 
 
 def test_probability_shrinks_away_from_the_mean():
-    model = GaussianModel(mu=np.array([0.0]), sigma2=np.array([2.0]))
-    values = probabilities(model, [0.0, 0.5, 1.0, 2.0, 4.0])
+    values = density([0.0], [2.0], [[0.0], [0.5], [1.0], [2.0], [4.0]])
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_feature_count_mismatch_rejected():
-    model = GaussianModel(mu=np.array([0.0, 0.0]), sigma2=np.array([1.0, 1.0]))
     with pytest.raises(LengthError):
-        probabilities(model, np.zeros((4, 3)))
+        density([0.0, 0.0], [1.0, 1.0], np.zeros((4, 3)))
 
 
 def test_threshold_of_a_small_set_is_its_minimum():
@@ -131,7 +131,7 @@ def test_single_outlier_is_the_only_flag():
                               rng.uniform(-0.5, 0.5, size=55)])
     report = detect(model, samples)
     assert list(report.flagged_indices()) == [100]
-    brute = [probabilities(model, [v])[0] < model.epsilon for v in samples]
+    brute = [density(model.mu, model.sigma2, [[v]])[0] < model.epsilon for v in samples]
     assert list(np.flatnonzero(brute)) == [100]
 
 

@@ -2,39 +2,8 @@ import numpy as np
 import pytest
 
 from regwave.errors import LengthError, UndefinedMetricError
-from regwave.metrics import build_report, jaccard, prd, rmse
+from regwave.metrics import build_report
 from regwave.wavelets import energy
-
-
-def test_rmse_of_identical_series_is_zero():
-    x = np.array([1.0, 2.0, 3.0])
-    assert rmse(x, x) == 0.0
-
-
-def test_rmse_hand_value():
-    assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
-
-
-def test_prd_of_half_amplitude_copy_is_fifty():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=50)
-    assert prd(x, x / 2) == pytest.approx(50.0, rel=1e-12)
-
-
-def test_prd_rejects_zero_reference():
-    with pytest.raises(UndefinedMetricError):
-        prd([0.0, 0.0], [1.0, 1.0])
-
-
-def test_length_mismatch_rejected():
-    with pytest.raises(LengthError):
-        rmse([1.0], [1.0, 2.0])
-
-
-def test_jaccard_hand_values():
-    assert jaccard({1, 2}, {2, 3}) == pytest.approx(1 / 3)
-    assert jaccard(set(), set()) == 1.0
-    assert jaccard({1}, set()) == 0.0
 
 
 def _masks(n, *flag_lists):
@@ -42,6 +11,48 @@ def _masks(n, *flag_lists):
     for row, flags in zip(masks, flag_lists):
         row[flags] = True
     return masks
+
+
+def _one_row(original, synthesized, flags_original=(), flags_synthesized=()):
+    n = len(original)
+    [report] = build_report(
+        [0.5], [original], [synthesized], _masks(n, list(flags_original)),
+        _masks(n, list(flags_synthesized)),
+    )
+    return report
+
+
+def test_rmse_of_identical_series_is_zero():
+    x = np.array([1.0, 2.0, 3.0])
+    assert _one_row(x, x).rmse == 0.0
+
+
+def test_rmse_hand_value():
+    # The reference is the nonzero series, since prd is computed in the same report.
+    assert _one_row([3.0, 4.0], [0.0, 0.0]).rmse == pytest.approx(np.sqrt(12.5))
+
+
+def test_prd_of_half_amplitude_copy_is_fifty():
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=50)
+    assert _one_row(x, x / 2).prd == pytest.approx(50.0, rel=1e-12)
+
+
+def test_prd_rejects_zero_reference():
+    with pytest.raises(UndefinedMetricError):
+        _one_row([0.0, 0.0], [1.0, 1.0])
+
+
+def test_length_mismatch_rejected():
+    with pytest.raises(LengthError):
+        build_report([0.5], [[1.0]], [[1.0, 2.0]], _masks(1, []), _masks(2, []))
+
+
+def test_jaccard_hand_values():
+    x = np.ones(4)
+    assert _one_row(x, x, [1, 2], [2, 3]).jaccard == pytest.approx(1 / 3)
+    assert _one_row(x, x).jaccard == 1.0
+    assert _one_row(x, x, [1]).jaccard == 0.0
 
 
 def test_report_identities():

@@ -6,21 +6,22 @@ from regwave.pipeline import (
     compare_windows,
     fit_series_model,
     reduce_series,
-    window_slices,
 )
 from regwave.reducer import ReductionPolicy
 from regwave.wavelets import energy, make_filter_pair
 
 
-def test_window_slices_arithmetic():
-    spans, dropped = window_slices(300, 256)
-    assert spans == [(0, 256)]
+def test_reduce_series_window_arithmetic():
+    fp = make_filter_pair("haar")
+    policy = ReductionPolicy(max_depth=1)
+    windows, dropped = reduce_series(np.ones(300), fp, policy, 256)
+    assert [w.start for w in windows] == [0]
     assert dropped == 44
-    spans, dropped = window_slices(512, 256)
-    assert spans == [(0, 256), (256, 512)]
+    windows, dropped = reduce_series(np.ones(512), fp, policy, 256)
+    assert [w.start for w in windows] == [0, 256]
     assert dropped == 0
-    with pytest.raises(InsufficientDataError):
-        window_slices(100, 1)
+    with pytest.raises(InsufficientDataError, match="window must be at least 2"):
+        reduce_series(np.ones(100), fp, policy, 1)
 
 
 def test_reduce_series_drops_the_partial_tail():

@@ -26,7 +26,7 @@ def steady(rate=1000.0, jitter=0.0, bursts=()):
 
 def test_deterministic_rate_accrual():
     sw = SwitchSim("s1", {1: steady()}, seed=0)
-    sw.advance(10.0)
+    sw.run(1, 10.0)
     assert sw.counters[1].tx_bytes == 10_000
     assert sw.counters[1].rx_bytes == 10_000
     assert sw.counters[1].tx_packets == 10
@@ -36,7 +36,7 @@ def test_full_dropout_suppresses_all_bytes():
     sw = SwitchSim(
         "s1", {1: steady()}, [AnomalyScenario("dropout", 1, 0.0, 10.0, 0.0)], seed=0
     )
-    sw.advance(10.0)
+    sw.run(1, 10.0)
     assert sw.counters[1].tx_bytes == 0
     assert sw.counters[1].tx_drops == 10_000
 
@@ -48,7 +48,7 @@ def test_spike_multiplies_one_interval():
     seen = []
     for _ in range(3):
         before = sw.counters[1].tx_bytes
-        sw.advance(10.0)
+        sw.run(1, 10.0)
         seen.append(sw.counters[1].tx_bytes - before)
     assert seen == [10_000, 100_000, 10_000]
 
@@ -60,7 +60,7 @@ def test_drift_ramps_linearly_then_holds():
     seen = []
     for _ in range(3):
         before = sw.counters[1].tx_bytes
-        sw.advance(10.0)
+        sw.run(1, 10.0)
         seen.append(sw.counters[1].tx_bytes - before)
     # Ramp averages 1.5x then 2.5x over its two intervals, then holds at 3x.
     assert seen == [15_000, 25_000, 30_000]
@@ -71,7 +71,7 @@ def test_burst_multiplies_its_span():
     seen = []
     for _ in range(3):
         before = sw.counters[1].tx_bytes
-        sw.advance(10.0)
+        sw.run(1, 10.0)
         seen.append(sw.counters[1].tx_bytes - before)
     assert seen == [10_000, 20_000, 10_000]
 
@@ -80,7 +80,7 @@ def test_partial_interval_overlap_integrates_exactly():
     sw = SwitchSim(
         "s1", {1: steady()}, [AnomalyScenario("spike", 1, 5.0, 10.0, 3.0)], seed=0
     )
-    sw.advance(10.0)
+    sw.run(1, 10.0)
     # Half the interval at 1x, half at 3x.
     assert sw.counters[1].tx_bytes == 5_000 + 15_000
 
@@ -101,7 +101,7 @@ def test_counters_stay_monotone_under_everything():
     )
     previous = sw.counters[1].copy()
     for _ in range(40):
-        sw.advance(10.0)
+        sw.run(1, 10.0)
         current = sw.counters[1]
         for name in COUNTER_FIELDS:
             assert getattr(current, name) >= getattr(previous, name)
@@ -314,13 +314,13 @@ def test_tick_pieces_are_added_left_to_right():
         base_rate=4.0, bursts=(Burst(0.0, 9.5, 2**53 / 38), Burst(9.75, 5.0, 1.0))
     )
     sw = SwitchSim("s1", {1: profile}, seed=0)
-    sw.advance(10.0)
+    sw.run(1, 10.0)
     assert sw.counters[1].tx_bytes == 2**53
     assert _reference_volume(profile, [], 0.0, 10.0, True) == 2**53
 
 
 @pytest.mark.parametrize("interval", (10.0, 0.1))
-def test_advance_k_times_equals_poll_over_k_ticks(interval):
+def test_one_tick_run_k_times_equals_poll_over_k_ticks(interval):
     def build():
         # Burst and spike edges fall inside ticks 3 and 5.
         burst = Burst(2.5 * interval, 3.0 * interval, 3.0)
@@ -334,7 +334,7 @@ def test_advance_k_times_equals_poll_over_k_ticks(interval):
     stepped = build()
     clock = 0.0
     for tick in range(k):
-        stepped.advance(interval)
+        stepped.run(1, interval)
         clock += interval
         assert stepped.clock == clock
         assert store.timestamps("s1", 1)[tick] == clock
