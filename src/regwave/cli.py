@@ -11,6 +11,7 @@ violated data contracts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -144,7 +145,7 @@ def cmd_reduce(args) -> int:
     series = deltas(counters)
     filters = make_filter_pair(args.family)
     policy = ReductionPolicy(max_depth=args.depth, min_energy_ratio=args.min_energy_ratio)
-    windows, dropped = pipeline.reduce_series(series, filters, policy, args.window)
+    registers, dropped = pipeline.reduce_series(series, filters, policy, args.window)
     if dropped:
         print(
             f"warning: {dropped} trailing samples do not fill a window and were "
@@ -153,7 +154,7 @@ def cmd_reduce(args) -> int:
         )
     formats.write_reduced_file(
         args.out,
-        windows,
+        registers,
         family=args.family,
         window_size=args.window,
         depth=args.depth,
@@ -162,24 +163,19 @@ def cmd_reduce(args) -> int:
         total_samples=int(series.shape[0]),
         dropped_samples=dropped,
     )
-    kept = windows[0].register.coeffs.shape[0]
+    kept = registers[0].coeffs.shape[0]
     print(
-        f"reduced {len(windows)} window(s) of {args.window} samples to {kept} "
-        f"coefficients each (path {windows[0].register.path!r}) in {args.out}"
+        f"reduced {len(registers)} window(s) of {args.window} samples to {kept} "
+        f"coefficients each (path {registers[0].path!r}) in {args.out}"
     )
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    meta, windows = formats.read_reduced_file(args.reduced)
-    filters = make_filter_pair(meta["family"])
-    rebuilt = synthesize_windows([w.register for w in windows], filters)
-    starts = np.array([w.start for w in windows], dtype=np.int64)
-    indices = starts[:, None] + np.arange(rebuilt.shape[1])
-    formats.write_series_csv(
-        args.out, rebuilt.ravel(), label="synthesized", indices=indices.ravel()
-    )
-    print(f"synthesized {len(windows)} window(s), {rebuilt.size} samples, in {args.out}")
+    meta, registers = formats.read_reduced_file(args.reduced)
+    rebuilt = synthesize_windows(registers, make_filter_pair(meta["family"]))
+    formats.write_series_csv(args.out, rebuilt.ravel(), label="synthesized")
+    print(f"synthesized {len(registers)} window(s), {rebuilt.size} samples, in {args.out}")
     return EXIT_OK
 
 
@@ -188,7 +184,7 @@ def _model_and_quantile(args) -> tuple[gaussian.GaussianModel | None, float | No
     or None and the quantile the verb fits with.
 
     A saved model fixes its own threshold, so --train and --quantile are
-    refused next to it rather than ignored.
+    refused next to it rather than ignored, and a model without one is refused.
     """
     if args.model is None:
         return None, 0.01 if args.quantile is None else args.quantile
@@ -196,7 +192,17 @@ def _model_and_quantile(args) -> tuple[gaussian.GaussianModel | None, float | No
         if getattr(args, flag) is not None:
             raise InputError(f"--{flag} cannot be combined with --model")
     model, _ = formats.read_model_file(args.model)
+    if model.epsilon is None:
+        raise InputError(f"model {args.model} carries no epsilon")
     return model, model.quantile
+
+
+def _training_prefix(args, n_samples: int) -> int | None:
+    """The --train prefix of detect or compare, or None when not given;
+    a prefix outside [2, n_samples] is refused."""
+    if args.train is not None and not 2 <= args.train <= n_samples:
+        raise InputError(f"--train must lie in [2, {n_samples}], got {args.train}")
+    return args.train
 
 
 def cmd_detect(args) -> int:
@@ -204,15 +210,11 @@ def cmd_detect(args) -> int:
     _, _, counters = formats.read_register_csv(args.register)
     series = deltas(counters).astype(np.float64)
     if model is not None:
-        if model.epsilon is None:
-            raise InputError(f"model {args.model} carries no epsilon")
         trained_on = f"model file {args.model}"
     else:
-        train = args.train or series.shape[0]
-        if train < 2 or train > series.shape[0]:
-            raise InputError(
-                f"--train must lie in [2, {series.shape[0]}], got {train}"
-            )
+        train = _training_prefix(args, series.shape[0])
+        if train is None:
+            train = series.shape[0]
         model = pipeline.fit_series_model(series[:train], quantile)
         trained_on = f"{args.register}[0:{train})"
     report = gaussian.detect(model, series)
@@ -240,59 +242,41 @@ def cmd_compare(args) -> int:
     model, quantile = _model_and_quantile(args)
     _, _, counters = formats.read_register_csv(args.register)
     series = deltas(counters).astype(np.float64)
-    meta, windows = formats.read_reduced_file(args.reduced)
-    filters = make_filter_pair(meta["family"])
-    results = pipeline.compare_windows(
-        series, windows, filters, model=model, train=args.train or 0, quantile=quantile
+    meta, registers = formats.read_reduced_file(args.reduced)
+    result = pipeline.compare_windows(
+        series,
+        registers,
+        make_filter_pair(meta["family"]),
+        model=model,
+        train=_training_prefix(args, series.shape[0]),
+        quantile=quantile,
     )
     os.makedirs(args.out, exist_ok=True)
+    n = meta["window_size"]
     doc = {
         "source": args.register,
         "reduced": args.reduced,
         "family": meta["family"],
-        "window_size": meta["window_size"],
+        "window_size": n,
         "depth": meta["depth"],
         "quantile": quantile,
         "windows": [],
     }
-    for res in results:
-        rep = res.report
+    for r, (rep, epsilon) in enumerate(zip(result.reports, result.epsilon.tolist())):
         doc["windows"].append(
-            {
-                "index": res.index,
-                "start": res.start,
-                "epsilon": res.epsilon,
-                "compression_ratio": rep.compression_ratio,
-                "rmse": rep.rmse,
-                "prd": rep.prd,
-                "flags_original": list(rep.flags_original),
-                "flags_synthesized": list(rep.flags_synthesized),
-                "jaccard": rep.jaccard,
-                "preserved_precision": rep.preserved_precision,
-                "preserved_recall": rep.preserved_recall,
-            }
+            {"index": r, "start": r * n, "epsilon": epsilon, **dataclasses.asdict(rep)}
         )
-        tag = f"window{res.index:03d}"
-        formats.write_series_csv(
-            os.path.join(args.out, f"{tag}_original.csv"), res.original, label="original"
-        )
-        formats.write_series_csv(
-            os.path.join(args.out, f"{tag}_synthesized.csv"),
-            res.synthesized,
-            label="synthesized",
-        )
-        formats.write_series_csv(
-            os.path.join(args.out, f"{tag}_prob_original.csv"),
-            res.prob_original,
-            label="probability",
-        )
-        formats.write_series_csv(
-            os.path.join(args.out, f"{tag}_prob_synthesized.csv"),
-            res.prob_synthesized,
-            label="probability",
-        )
+        for name, values, label in (
+            ("original", result.original[r], "original"),
+            ("synthesized", result.synthesized[r], "synthesized"),
+            ("prob_original", result.prob_original[r], "probability"),
+            ("prob_synthesized", result.prob_synthesized[r], "probability"),
+        ):
+            formats.write_series_csv(
+                os.path.join(args.out, f"window{r:03d}_{name}.csv"), values, label=label
+            )
         print(
-            f"window {res.index}: jaccard {rep.jaccard:.3f} rmse {rep.rmse:.4g} "
+            f"window {r}: jaccard {rep.jaccard:.3f} rmse {rep.rmse:.4g} "
             f"prd {rep.prd:.3f}% flags {len(rep.flags_original)}/"
             f"{len(rep.flags_synthesized)}"
         )

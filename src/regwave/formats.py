@@ -3,7 +3,9 @@
 Register series travel as CSV with header ``tick,timestamp_s,value``.
 Reduced registers and fitted models are JSON documents carrying a format tag;
 floats are written with ``repr`` precision, so coefficient round trips are
-exact.
+exact.  A reduced file stores each window's ``index`` and ``start``; they
+are written and checked here only, so that everywhere else window r is
+simply entry r of a list.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import warnings
 import numpy as np
 
 from .errors import InputError, ParseError
-from .reducer import ReducedRegister, ReducedWindow
+from .reducer import ReducedRegister
 from .gaussian import GaussianModel
 from .wavelets import FAMILIES
 
@@ -237,8 +239,8 @@ def export_store(store, out_dir) -> list[str]:
     return written
 
 
-def write_series_csv(path, values, label: str = "value", indices=None) -> None:
-    """Two-column plot-ready export: sample index and value.
+def write_series_csv(path, values, label: str = "value") -> None:
+    """Two-column plot-ready export: sample index 0, 1, ... and value.
 
     Floats print with ``repr``; a boolean series prints the same text,
     ``0.0``/``1.0``, through the integer kernel.  Rows are formatted
@@ -248,13 +250,12 @@ def write_series_csv(path, values, label: str = "value", indices=None) -> None:
     values = np.asarray(values)
     if values.dtype != np.bool_:
         values = np.asarray(values, dtype=np.float64)
-    idx = np.arange(len(values)) if indices is None else np.asarray(indices, dtype=np.int64)
-    n = min(len(values), len(idx))
+    n = len(values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"index,{label}\n")
         for lo in range(0, n, SERIES_CHUNK_ROWS):
             hi = min(lo + SERIES_CHUNK_ROWS, n)
-            fh.write(_series_rows(idx[lo:hi], values[lo:hi]))
+            fh.write(_series_rows(np.arange(lo, hi), values[lo:hi]))
 
 
 def _series_rows(idx, values) -> str:
@@ -267,7 +268,7 @@ def _series_rows(idx, values) -> str:
 
 def write_reduced_file(
     path,
-    windows: list[ReducedWindow],
+    registers: list[ReducedRegister],
     *,
     family: str,
     window_size: int,
@@ -288,16 +289,14 @@ def write_reduced_file(
         "dropped_samples": dropped_samples,
         "windows": [
             {
-                "index": w.index,
-                "start": w.start,
-                "original_length": w.register.original_length,
-                "path": w.register.path,
-                "coefficients": [float(c) for c in w.register.coeffs],
-                "sibling_energies": [
-                    [kept, discarded] for kept, discarded in w.register.sibling_energies
-                ],
+                "index": i,
+                "start": i * window_size,
+                "original_length": r.original_length,
+                "path": r.path,
+                "coefficients": [float(c) for c in r.coeffs],
+                "sibling_energies": [list(pair) for pair in r.sibling_energies],
             }
-            for w in windows
+            for i, r in enumerate(registers)
         ],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -305,13 +304,15 @@ def write_reduced_file(
         fh.write("\n")
 
 
-def read_reduced_file(path) -> tuple[dict, list[ReducedWindow]]:
-    """Read a reduced-register file; returns its envelope and its windows.
+def read_reduced_file(path) -> tuple[dict, list[ReducedRegister]]:
+    """Read a reduced-register file; returns its envelope and one register
+    per window, window r at entry r.
 
-    Each entry must make a valid ReducedWindow and agree with the envelope:
-    its original_length is the file's window_size, its stored start is
-    ``index * window_size``, and its depth is the file's depth, or less
-    when a positive min_energy_ratio may have stopped its descent early.
+    Entry i must have index i, so windows are listed in order without gaps
+    or repeats.  Each entry must make a valid ReducedRegister and agree with
+    the envelope: its original_length is the file's window_size, its stored
+    start is ``index * window_size``, and its depth is the file's depth, or
+    less when a positive min_energy_ratio may have stopped its descent early.
 
     Raises:
         ParseError: unreadable file, unknown family, an envelope without
@@ -337,8 +338,8 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedWindow]]:
             str(path),
             0,
         )
-    windows = []
-    for entry in doc.get("windows", []):
+    registers = []
+    for i, entry in enumerate(doc.get("windows", [])):
         try:
             index, start = int(entry["index"]), int(entry["start"])
             register = ReducedRegister(
@@ -350,11 +351,16 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedWindow]]:
                     (float(k), float(d)) for k, d in entry["sibling_energies"]
                 ),
             )
-            window = ReducedWindow(index=index, register=register)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed window entry: {exc}", str(path), 0) from None
         except InputError as exc:
-            raise ParseError(f"window {index}: {exc}", str(path), 0) from None
+            raise ParseError(f"window {i}: {exc}", str(path), 0) from None
+        if index != i:
+            raise ParseError(
+                f"window {i}: index {index} is not its position {i} in windows",
+                str(path),
+                0,
+            )
         if register.original_length != window_size:
             raise ParseError(
                 f"window {index}: original_length {register.original_length} is "
@@ -362,7 +368,7 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedWindow]]:
                 str(path),
                 0,
             )
-        if start != window.start:
+        if start != index * window_size:
             raise ParseError(
                 f"window {index}: start {start} is not index {index} * "
                 f"window_size {window_size}",
@@ -375,8 +381,8 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedWindow]]:
                 str(path),
                 0,
             )
-        windows.append(window)
-    return doc, windows
+        registers.append(register)
+    return doc, registers
 
 
 def write_model_file(path, model: GaussianModel, *, training_window: str) -> None:

@@ -3,7 +3,9 @@
 A counter-delta series is cut into consecutive non-overlapping windows, each
 window reduced to its strongest packet branch, and detection run on both the
 original and the rebuilt window with one shared model and threshold so that
-any difference in flags is attributable to the reduction alone.
+any difference in flags is attributable to the reduction alone.  Window r is
+samples ``[r*n, (r+1)*n)`` of the series, register r of a list and row r of
+every batch; no window carries its own position.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import gaussian
 from .errors import AlignmentError, InsufficientDataError
 from .metrics import ComparisonReport, build_report
 from .reducer import (
-    ReducedWindow,
+    ReducedRegister,
     ReductionPolicy,
     compression_ratio,
     decompose_windows,
@@ -30,8 +32,9 @@ def reduce_series(
     filters: FilterPair,
     policy: ReductionPolicy,
     window: int,
-) -> tuple[list[ReducedWindow], int]:
-    """Reduce every full window of a series; returns windows and dropped count."""
+) -> tuple[list[ReducedRegister], int]:
+    """Reduce every full window of a series; returns one register per window
+    and the number of trailing samples dropped."""
     if window < 2:
         raise InsufficientDataError(f"window must be at least 2, got {window}")
     x = np.asarray(values, dtype=np.float64)
@@ -41,19 +44,17 @@ def reduce_series(
             f"series of {x.shape[0]} samples holds no {window}-sample window"
         )
     matrix = x[: n_windows * window].reshape(n_windows, window)
-    registers = decompose_windows(matrix, filters, policy)
-    out = [ReducedWindow(index=index, register=r) for index, r in enumerate(registers)]
-    return out, dropped
+    return decompose_windows(matrix, filters, policy), dropped
 
 
 @dataclass(frozen=True)
-class WindowComparison:
-    """Everything compare produces for one window, plot series included."""
+class Comparison:
+    """Everything compare produces for k windows of n samples, plot series
+    included: entry r of reports and epsilon and row r of each read-only
+    ``(k, n)`` matrix belong to window r."""
 
-    index: int
-    start: int
-    report: ComparisonReport
-    epsilon: float
+    reports: list[ComparisonReport]
+    epsilon: np.ndarray
     original: np.ndarray
     synthesized: np.ndarray
     prob_original: np.ndarray
@@ -94,71 +95,59 @@ def judge_windows(originals, synthesized, compression, mu, sigma2, epsilon):
 
 def compare_windows(
     values,
-    windows: list[ReducedWindow],
+    registers: list[ReducedRegister],
     filters: FilterPair,
     *,
     model: gaussian.GaussianModel | None = None,
-    train: int = 0,
+    train: int | None = None,
     quantile: float = 0.01,
-) -> list[WindowComparison]:
-    """Judge each reduced window against the matching span of the original.
+) -> Comparison:
+    """Judge register r against window r of the series, for every register.
 
     The detector model comes from, in order of preference: the model
-    argument, a fit on the first ``train`` samples of the series, or a fit on
-    each window's own original samples.  The same model and epsilon always
-    score both versions of a window.  The windows, all of one length, are
-    fitted, scored and reported as one batch; the arrays of each result are
-    read-only rows of that batch.
+    argument, a fit on the first ``train`` samples of the series, or, with
+    train None, a fit on each window's own original samples.  The same model
+    and epsilon always score both versions of a window.  The windows, all of
+    one length, are fitted, scored and reported as one batch.
 
     Raises:
-        LengthError: when the windows differ in length.
-        AlignmentError: when a window refers to samples the series lacks.
+        InsufficientDataError: a model without epsilon, or a train prefix
+            outside ``[2, len(values)]``.
+        LengthError: when the registers differ in length.
+        AlignmentError: when the windows need samples the series lacks.
     """
     x = np.asarray(values, dtype=np.float64)
     if model is not None and model.epsilon is None:
         raise InsufficientDataError("model file carries no epsilon; refit or calibrate")
-    if model is None and train:
-        if train < 2:
-            raise InsufficientDataError(f"training prefix needs >= 2 samples, got {train}")
-        if train > x.shape[0]:
+    if model is None and train is not None:
+        if not 2 <= train <= x.shape[0]:
             raise InsufficientDataError(
-                f"training prefix {train} exceeds the series length {x.shape[0]}"
+                f"training prefix must lie in [2, {x.shape[0]}], got {train}"
             )
         model = fit_series_model(x[:train], quantile)
 
-    if not windows:
-        return []
-    synthesized = synthesize_windows([w.register for w in windows], filters)
-    n = synthesized.shape[1]
-    for w in windows:
-        if w.start + n > x.shape[0]:
-            raise AlignmentError(
-                f"window {w.index} spans [{w.start}, {w.start + n}) but the series "
-                f"has {x.shape[0]} samples"
-            )
-    starts = np.array([w.start for w in windows])
-    originals = x[starts[:, None] + np.arange(n)]
+    if not registers:
+        empty = np.empty((0, 0))
+        empty.setflags(write=False)
+        return Comparison([], np.empty(0), empty, empty, empty, empty)
+    synthesized = synthesize_windows(registers, filters)
+    k, n = synthesized.shape
+    if k * n > x.shape[0]:
+        r = x.shape[0] // n
+        raise AlignmentError(
+            f"window {r} spans [{r * n}, {(r + 1) * n}) but the series has "
+            f"{x.shape[0]} samples"
+        )
+    originals = x[: k * n].reshape(k, n).copy()
     if model is None:
         mu, sigma2, epsilon = fit_row_models(originals, quantile)
     else:
         mu, sigma2 = model.mu[None], model.sigma2[None]
-        epsilon = np.full(len(windows), model.epsilon)
-    compression = [compression_ratio(w.register) for w in windows]
+        epsilon = np.full(k, model.epsilon)
     reports, prob_o, prob_s = judge_windows(
-        originals, synthesized, compression, mu, sigma2, epsilon
+        originals, synthesized, [compression_ratio(r) for r in registers], mu, sigma2,
+        epsilon,
     )
     for matrix in (originals, synthesized, prob_o, prob_s):
         matrix.setflags(write=False)
-    return [
-        WindowComparison(
-            index=w.index,
-            start=w.start,
-            report=report,
-            epsilon=eps,
-            original=originals[r],
-            synthesized=synthesized[r],
-            prob_original=prob_o[r],
-            prob_synthesized=prob_s[r],
-        )
-        for r, (w, report, eps) in enumerate(zip(windows, reports, epsilon.tolist()))
-    ]
+    return Comparison(reports, epsilon, originals, synthesized, prob_o, prob_s)

@@ -5,6 +5,9 @@ one holding more energy survives.  The kept branch letters form a path such
 as ``"LH"``, and the discarded sibling energies are recorded so that the
 reconstruction error is known without ever reconstructing: by orthonormality
 it equals the sum of everything that was thrown away.
+
+A register does not know where its window lies in a series: the batched
+functions take and return windows in order, so register r is row r.
 """
 
 from __future__ import annotations
@@ -87,24 +90,6 @@ class ReducedRegister:
 
     def discarded_energy(self) -> float:
         return sum(d for _, d in self.sibling_energies)
-
-
-@dataclass(frozen=True)
-class ReducedWindow:
-    """Window ``index`` of a series cut into windows of the register's
-    original_length, and its reduced register."""
-
-    index: int
-    register: ReducedRegister
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise LengthError(f"window index must be >= 0, got {self.index}")
-
-    @property
-    def start(self) -> int:
-        """Offset of the window's first sample in the series."""
-        return self.index * self.register.original_length
 
 
 def _is_power_of_two(n: int) -> bool:

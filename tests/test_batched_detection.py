@@ -57,38 +57,39 @@ def ref_report(compression, original, synthesized, probs_o, probs_s, eps):
     )
 
 
-def ref_compare(values, windows, filters, *, model=None, train=0, quantile=0.01):
+def ref_compare(values, registers, filters, *, model=None, train=None, quantile=0.01):
     """One window at a time: (epsilon, probs_o, probs_s, report) per window."""
     x = np.asarray(values, dtype=np.float64)
     shared = None
     if model is not None:
         shared = (model.mu, model.sigma2, model.epsilon)
-    elif train:
+    elif train is not None:
         shared = ref_model(x[:train], quantile)
     out = []
-    for w in windows:
-        original = x[w.start : w.start + w.register.original_length]
-        synthesized = synthesize(w.register, filters)
+    for r, register in enumerate(registers):
+        n = register.original_length
+        original = x[r * n : (r + 1) * n]
+        synthesized = synthesize(register, filters)
         mu, sigma2, eps = shared or ref_model(original, quantile)
         probs_o = ref_probabilities(mu, sigma2, original)
         probs_s = ref_probabilities(mu, sigma2, synthesized)
         report = ref_report(
-            compression_ratio(w.register), original, synthesized, probs_o, probs_s, eps
+            compression_ratio(register), original, synthesized, probs_o, probs_s, eps
         )
         out.append((eps, probs_o, probs_s, report))
     return out
 
 
-def assert_same(comparisons, reference):
-    assert len(comparisons) == len(reference)
-    for comp, (eps, probs_o, probs_s, report) in zip(comparisons, reference):
-        assert comp.epsilon == eps
-        assert np.array_equal(comp.prob_original, probs_o)
-        assert np.array_equal(comp.prob_synthesized, probs_s)
-        assert comp.report == report
-        for array in (comp.original, comp.synthesized, comp.prob_original,
-                      comp.prob_synthesized):
-            assert not array.flags.writeable
+def assert_same(comp, reference):
+    assert len(comp.reports) == len(reference)
+    assert comp.epsilon.tolist() == [eps for eps, _, _, _ in reference]
+    for r, (_, probs_o, probs_s, report) in enumerate(reference):
+        assert np.array_equal(comp.prob_original[r], probs_o)
+        assert np.array_equal(comp.prob_synthesized[r], probs_s)
+        assert comp.reports[r] == report
+    for array in (comp.original, comp.synthesized, comp.prob_original,
+                  comp.prob_synthesized):
+        assert not array.flags.writeable
 
 
 def bursty(rng, n):
@@ -104,15 +105,15 @@ def bursty(rng, n):
 SOURCES = ("model", "train", "per-window")
 
 
-def _compare_both(series, windows, filters, source, quantile, rng):
+def _compare_both(series, registers, filters, source, quantile, rng):
     kwargs = {"quantile": quantile}
     if source == "model":
         kwargs["model"] = fit_series_model(bursty(rng, 300), quantile)
     elif source == "train":
         kwargs["train"] = max(2, series.shape[0] // 2)
     return (
-        compare_windows(series, windows, filters, **kwargs),
-        ref_compare(series, windows, filters, **kwargs),
+        compare_windows(series, registers, filters, **kwargs),
+        ref_compare(series, registers, filters, **kwargs),
     )
 
 
@@ -126,12 +127,15 @@ def test_batched_compare_equals_the_per_window_reference(rows, n, source):
     if rows > 1:
         series[n : 2 * n] = 7_000.0  # a constant window takes the variance floor
     depth = 1 if n < 8 else 2
-    windows, _ = reduce_series(series, filters, ReductionPolicy(max_depth=depth), n)
-    assert len(windows) == rows
-    comps, reference = _compare_both(series, windows, filters, source, 0.05, rng)
-    assert_same(comps, reference)
+    registers, _ = reduce_series(series, filters, ReductionPolicy(max_depth=depth), n)
+    assert len(registers) == rows
+    comp, reference = _compare_both(series, registers, filters, source, 0.05, rng)
+    assert_same(comp, reference)
+    # The originals are the series' windows, copied out of it.
+    assert np.array_equal(comp.original, series[: rows * n].reshape(rows, n))
+    assert not np.shares_memory(comp.original, series)
     if source == "per-window" and n >= 32:  # the 5% quantile is above the minimum
-        assert any(comp.report.flags_original for comp in comps)
+        assert any(report.flags_original for report in comp.reports)
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -140,14 +144,14 @@ def test_all_zero_window_raises_as_before(source):
     filters = make_filter_pair("haar")
     series = bursty(rng, 3 * 64)
     series[64:128] = 0.0
-    windows, _ = reduce_series(series, filters, ReductionPolicy(max_depth=1), 64)
+    registers, _ = reduce_series(series, filters, ReductionPolicy(max_depth=1), 64)
     kwargs = {"model": fit_series_model(bursty(rng, 100), 0.05)} if source == "model" else {}
     if source == "train":
         kwargs["train"] = 64
     for compare in (compare_windows, ref_compare):
         with pytest.raises(UndefinedMetricError,
                            match="prd is undefined for an all-zero reference"):
-            compare(series, windows, filters, **kwargs)
+            compare(series, registers, filters, **kwargs)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 37])
@@ -176,12 +180,11 @@ def ref_run_case(case):
     reports = {}
     for field in ("rx_bytes", "tx_bytes"):
         series = deltas(store.counter_series("s1", 1, field))
-        windows, _ = reduce_series(series, filters, policy, suite.WINDOW)
-        target = [w for w in windows if w.index == suite.TRAIN_SAMPLES // suite.WINDOW]
-        [(_, _, _, report)] = ref_compare(
-            series, target, filters, train=suite.TRAIN_SAMPLES, quantile=suite.QUANTILE
+        registers, _ = reduce_series(series, filters, policy, suite.WINDOW)
+        reference = ref_compare(
+            series, registers, filters, train=suite.TRAIN_SAMPLES, quantile=suite.QUANTILE
         )
-        reports[field] = report
+        reports[field] = reference[suite.TRAIN_SAMPLES // suite.WINDOW][3]
     return reports
 
 

@@ -195,6 +195,19 @@ def _envelope_depth_5(doc):
     doc["depth"] = 5
 
 
+# Entries listed out of order; each keeps its own consistent index and start.
+def _windows_0_2(doc):
+    doc["windows"] = [doc["windows"][0], doc["windows"][2]]
+
+
+def _windows_1_0(doc):
+    doc["windows"] = [doc["windows"][1], doc["windows"][0]]
+
+
+def _windows_0_0(doc):
+    doc["windows"] = [doc["windows"][0], doc["windows"][0]]
+
+
 @pytest.mark.parametrize("verb", ["synthesize", "compare"])
 @pytest.mark.parametrize("edit, message", [
     (_longer_ledger, "window 0: 2 sibling_energies pairs for path 'L'"),
@@ -203,6 +216,9 @@ def _envelope_depth_5(doc):
     (_envelope_window_32, "window 0: original_length 64 is not the file's window_size 32"),
     (_one_window_of_32, "window 0: original_length 32 is not the file's window_size 64"),
     (_envelope_depth_5, "window 0: depth 1 is not the file's depth 5"),
+    (_windows_0_2, "window 1: index 2 is not its position 1 in windows"),
+    (_windows_1_0, "window 0: index 1 is not its position 0 in windows"),
+    (_windows_0_0, "window 1: index 0 is not its position 1 in windows"),
 ])
 def test_inconsistent_reduced_window_exits_two(video_sim, tmp_path, capsys, verb, edit,
                                                message):
@@ -521,6 +537,36 @@ def test_model_excludes_train_and_quantile(round_trip_inputs, tmp_path, capsys, 
     capsys.readouterr()
     assert main([*argv, *flag, "--out", str(out)]) == 2
     assert f"{flag[0]} cannot be combined with --model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["detect", "compare"])
+@pytest.mark.parametrize("train", ["0", "1", "-3", "252"])
+def test_training_prefix_outside_two_to_length_exits_two(round_trip_inputs, tmp_path,
+                                                         capsys, verb, train):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([verb, *round_trip_inputs[verb], "--train", train, "--out", str(out)]) == 2
+    assert f"--train must lie in [2, 251], got {train}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["detect", "compare"])
+@pytest.mark.parametrize("train", ["2", "251"])
+def test_training_prefix_bounds_are_accepted(round_trip_inputs, tmp_path, verb, train):
+    assert main([verb, *round_trip_inputs[verb], "--train", train,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("verb", ["detect", "compare"])
+def test_model_without_epsilon_exits_two(round_trip_inputs, tmp_path, capsys, verb):
+    model = json.loads(Path(round_trip_inputs["model"]).read_text())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**model, "epsilon": None}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([verb, *round_trip_inputs[verb], "--model", str(path), "--out", str(out)]) == 2
+    assert f"model {path} carries no epsilon" in capsys.readouterr().err
     assert not out.exists()
 
 

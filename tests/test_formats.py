@@ -17,7 +17,7 @@ from regwave.formats import (
     write_series_csv,
 )
 from regwave.gaussian import GaussianModel
-from regwave.reducer import ReducedWindow, ReductionPolicy, decompose
+from regwave.reducer import ReductionPolicy, decompose
 from regwave.telemetry import (
     COUNTER_FIELDS,
     RegisterStore,
@@ -56,22 +56,18 @@ def test_register_csv_row_errors_carry_line_numbers(tmp_path):
     assert err.value.line == 3
 
 
-def _sample_windows():
+def _sample_registers():
     fp = make_filter_pair("db2")
     rng = np.random.default_rng(2)
-    out = []
-    for i in range(3):
-        reg = decompose(rng.normal(size=64), fp, ReductionPolicy(max_depth=2))
-        out.append(ReducedWindow(index=i, register=reg))
-    return out
+    return [decompose(rng.normal(size=64), fp, ReductionPolicy(max_depth=2)) for _ in range(3)]
 
 
 def test_reduced_file_round_trip_is_exact(tmp_path):
     path = tmp_path / "red.json"
-    windows = _sample_windows()
+    registers = _sample_registers()
     write_reduced_file(
         path,
-        windows,
+        registers,
         family="db2",
         window_size=64,
         depth=2,
@@ -83,12 +79,33 @@ def test_reduced_file_round_trip_is_exact(tmp_path):
     meta, loaded = read_reduced_file(path)
     assert meta["window_size"] == 64
     assert meta["dropped_samples"] == 8
-    assert len(loaded) == len(windows)
-    for original, round_tripped in zip(windows, loaded):
-        assert round_tripped.start == original.start
-        assert round_tripped.register.path == original.register.path
-        assert np.array_equal(round_tripped.register.coeffs, original.register.coeffs)
-        assert round_tripped.register.sibling_energies == original.register.sibling_energies
+    assert len(loaded) == len(registers)
+    for original, round_tripped in zip(registers, loaded):
+        assert round_tripped.path == original.path
+        assert np.array_equal(round_tripped.coeffs, original.coeffs)
+        assert round_tripped.sibling_energies == original.sibling_energies
+
+
+def test_window_start_follows_from_its_index(tmp_path):
+    path = tmp_path / "red.json"
+    register = decompose(np.ones(4), make_filter_pair("haar"), ReductionPolicy())
+    write_reduced_file(
+        path,
+        [register] * 3,
+        family="haar",
+        window_size=4,
+        depth=1,
+        min_energy_ratio=0.0,
+        source="series.csv",
+        total_samples=12,
+        dropped_samples=0,
+    )
+    doc = json.loads(path.read_text())
+    assert [(w["index"], w["start"]) for w in doc["windows"]] == [(0, 0), (1, 4), (2, 8)]
+    doc["windows"][0].update(index=-1, start=-4)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="window 0: index -1 is not its position 0"):
+        read_reduced_file(path)
 
 
 def test_reduced_file_rejects_wrong_format_tag(tmp_path):
@@ -100,10 +117,10 @@ def test_reduced_file_rejects_wrong_format_tag(tmp_path):
 
 def test_reduced_file_rejects_inconsistent_entries(tmp_path):
     path = tmp_path / "red.json"
-    windows = _sample_windows()
+    registers = _sample_registers()
     write_reduced_file(
         path,
-        windows,
+        registers,
         family="db2",
         window_size=64,
         depth=2,
@@ -143,7 +160,7 @@ def test_reduced_file_rejects_non_finite_numbers(tmp_path, key, position, value)
     path = tmp_path / "red.json"
     write_reduced_file(
         path,
-        _sample_windows(),
+        _sample_registers(),
         family="db2",
         window_size=64,
         depth=2,
@@ -321,35 +338,30 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, read):
     assert err.value.line == 2
 
 
-def _per_row_series_csv(path, values, label="value", indices=None):
+def _per_row_series_csv(path, values, label="value"):
     # The row-at-a-time writer the chunked one replaced.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"index,{label}\n")
-        idx = range(len(values)) if indices is None else indices
-        for i, v in zip(idx, values):
-            fh.write(f"{int(i)},{repr(float(v))}\n")
+        for i, v in enumerate(values):
+            fh.write(f"{i},{repr(float(v))}\n")
 
 
 @pytest.mark.parametrize("rows", [0, 1, SERIES_CHUNK_ROWS - 1, SERIES_CHUNK_ROWS, SERIES_CHUNK_ROWS + 1])
-@pytest.mark.parametrize("with_indices", [False, True])
-def test_series_csv_matches_the_per_row_writer(tmp_path, rows, with_indices):
+def test_series_csv_matches_the_per_row_writer(tmp_path, rows):
     rng = np.random.default_rng(rows)
     values = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-320, 0.1][:rows]
     values[: len(special)] = special
-    indices = (np.arange(rows) * 3 + 256) if with_indices else None
-    write_series_csv(tmp_path / "new.csv", values, label="synthesized", indices=indices)
-    _per_row_series_csv(tmp_path / "old.csv", values, label="synthesized", indices=indices)
+    write_series_csv(tmp_path / "new.csv", values, label="synthesized")
+    _per_row_series_csv(tmp_path / "old.csv", values, label="synthesized")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("rows", [0, 1, SERIES_CHUNK_ROWS - 1, SERIES_CHUNK_ROWS, SERIES_CHUNK_ROWS + 1])
-@pytest.mark.parametrize("with_indices", [False, True])
-def test_boolean_series_csv_matches_the_per_row_writer(tmp_path, rows, with_indices):
+def test_boolean_series_csv_matches_the_per_row_writer(tmp_path, rows):
     flags = np.random.default_rng(rows).random(rows) < 0.3
-    indices = (np.arange(rows) * 7 - 40) if with_indices else None
-    write_series_csv(tmp_path / "new.csv", flags, label="flag", indices=indices)
-    _per_row_series_csv(tmp_path / "old.csv", flags.astype(float), label="flag", indices=indices)
+    write_series_csv(tmp_path / "new.csv", flags, label="flag")
+    _per_row_series_csv(tmp_path / "old.csv", flags.astype(float), label="flag")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 

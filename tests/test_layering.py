@@ -1,7 +1,9 @@
-"""The numerical and pipeline modules never import the file formats or the CLI.
+"""The numerical and pipeline modules never import the file formats or the CLI,
+and no module imports a name it does not read.
 
 Formats and the CLI sit on top: they read and write what the modules below
 compute.  An import the other way round couples the kernels to a file layout.
+An import nothing reads is left over from a deletion.
 """
 
 import ast
@@ -44,3 +46,42 @@ def test_imported_modules_resolves_every_import_form():
 def test_module_does_not_import_formats_or_cli(name):
     source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
     assert not ABOVE & set(imported_modules(source))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import binds that nothing else in the source reads.
+
+    ``from __future__`` imports and an import whose statement carries
+    ``# noqa: F401`` bind names on purpose and are left out.
+    """
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        statement = lines[node.lineno - 1 : node.end_lineno]
+        if getattr(node, "module", None) == "__future__" or any(
+            "# noqa: F401" in line for line in statement
+        ):
+            continue
+        bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_imports_finds_only_unread_names():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .a import (\n    b,\n    c,\n)\nfrom .d import e  # noqa: F401\n"
+        "def f(x: c) -> None:\n    return np.asarray(os.path.join(x))\n"
+    )
+    assert unused_imports(source) == ["b"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem,
+)
+def test_module_reads_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -7,18 +7,23 @@ from regwave.pipeline import (
     fit_series_model,
     reduce_series,
 )
-from regwave.reducer import ReductionPolicy
+from regwave.reducer import ReductionPolicy, decompose
 from regwave.wavelets import energy, make_filter_pair
 
 
 def test_reduce_series_window_arithmetic():
     fp = make_filter_pair("haar")
     policy = ReductionPolicy(max_depth=1)
-    windows, dropped = reduce_series(np.ones(300), fp, policy, 256)
-    assert [w.start for w in windows] == [0]
+    registers, dropped = reduce_series(np.ones(300), fp, policy, 256)
+    assert [r.original_length for r in registers] == [256]
     assert dropped == 44
-    windows, dropped = reduce_series(np.ones(512), fp, policy, 256)
-    assert [w.start for w in windows] == [0, 256]
+    ramp = np.arange(512.0)
+    registers, dropped = reduce_series(ramp, fp, policy, 256)
+    # Register r is window r, samples [256 r, 256 (r + 1)).
+    for r, register in enumerate(registers):
+        alone = decompose(ramp[256 * r : 256 * (r + 1)], fp, policy)
+        assert np.array_equal(register.coeffs, alone.coeffs)
+    assert len(registers) == 2
     assert dropped == 0
     with pytest.raises(InsufficientDataError, match="window must be at least 2"):
         reduce_series(np.ones(100), fp, policy, 1)
@@ -27,12 +32,12 @@ def test_reduce_series_window_arithmetic():
 def test_reduce_series_drops_the_partial_tail():
     fp = make_filter_pair("haar")
     rng = np.random.default_rng(0)
-    windows, dropped = reduce_series(
+    registers, dropped = reduce_series(
         rng.normal(size=300), fp, ReductionPolicy(max_depth=1), 256
     )
-    assert len(windows) == 1
+    assert len(registers) == 1
     assert dropped == 44
-    assert windows[0].register.coeffs.shape[0] == 128
+    assert registers[0].coeffs.shape[0] == 128
 
 
 def test_reduce_series_needs_one_full_window():
@@ -44,24 +49,24 @@ def test_reduce_series_needs_one_full_window():
 def test_lossless_window_compares_clean():
     fp = make_filter_pair("haar")
     series = np.full(64, 100.0)
-    windows, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 64)
-    [comp] = compare_windows(series, windows, fp, quantile=0.01)
+    registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 64)
+    [report] = compare_windows(series, registers, fp, quantile=0.01).reports
     # A constant register is pure approximation; only rounding survives.
-    assert comp.report.rmse <= 1e-9
-    assert comp.report.prd <= 1e-9
-    assert comp.report.jaccard == 1.0
-    assert comp.report.flags_original == comp.report.flags_synthesized == ()
+    assert report.rmse <= 1e-9
+    assert report.prd <= 1e-9
+    assert report.jaccard == 1.0
+    assert report.flags_original == report.flags_synthesized == ()
 
 
 def test_white_noise_error_energy_matches_discarded():
     fp = make_filter_pair("db2")
     rng = np.random.default_rng(44)
     series = rng.normal(size=256)
-    windows, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
-    [comp] = compare_windows(series, windows, fp)
-    residual = comp.report.rmse**2 * 256
-    assert abs(residual - windows[0].register.discarded_energy()) <= 1e-9
-    assert abs(residual - energy(series - comp.synthesized)) <= 1e-9
+    registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
+    comp = compare_windows(series, registers, fp)
+    residual = comp.reports[0].rmse**2 * 256
+    assert abs(residual - registers[0].discarded_energy()) <= 1e-9
+    assert abs(residual - energy(series - comp.synthesized[0])) <= 1e-9
 
 
 def test_shared_model_scores_both_series():
@@ -71,40 +76,42 @@ def test_shared_model_scores_both_series():
     window[70:110] += 900.0
     series = np.concatenate([train, window])
     fp = make_filter_pair("db2")
-    windows, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
-    comps = compare_windows(series, windows, fp, train=512, quantile=0.002)
-    target = comps[2]
+    registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
+    comp = compare_windows(series, registers, fp, train=512, quantile=0.002)
+    target = comp.reports[2]
     expected = set(range(70, 110))
-    assert expected <= set(target.report.flags_original)
-    assert expected <= set(target.report.flags_synthesized)
-    assert target.report.preserved_recall >= 0.95
+    assert expected <= set(target.flags_original)
+    assert expected <= set(target.flags_synthesized)
+    assert target.preserved_recall >= 0.95
     # Both versions of every window were scored with one epsilon.
-    assert len({c.epsilon for c in comps}) == 1
+    assert len(set(comp.epsilon.tolist())) == 1
 
 
 def test_explicit_model_argument_wins():
     rng = np.random.default_rng(16)
     series = rng.normal(size=256)
     fp = make_filter_pair("haar")
-    windows, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
+    registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
     model = fit_series_model(rng.normal(size=400), quantile=0.05)
-    [comp] = compare_windows(series, windows, fp, model=model)
-    assert comp.epsilon == model.epsilon
+    assert compare_windows(series, registers, fp, model=model).epsilon.tolist() == [
+        model.epsilon
+    ]
 
 
 def test_training_prefix_validation():
     fp = make_filter_pair("haar")
     series = np.ones(64)
-    windows, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 64)
-    with pytest.raises(InsufficientDataError):
-        compare_windows(series, windows, fp, train=1)
-    with pytest.raises(InsufficientDataError):
-        compare_windows(series, windows, fp, train=65)
+    registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 64)
+    for train in (0, 1, 65):
+        with pytest.raises(InsufficientDataError, match=r"must lie in \[2, 64\]"):
+            compare_windows(series, registers, fp, train=train)
 
 
 def test_window_beyond_series_is_an_alignment_error():
     fp = make_filter_pair("haar")
-    series = np.ones(128)
-    windows, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 128)
-    with pytest.raises(AlignmentError):
-        compare_windows(series[:100], windows, fp)
+    series = np.ones(384)
+    registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 128)
+    with pytest.raises(AlignmentError, match=r"window 0 spans \[0, 128\)"):
+        compare_windows(series[:100], registers[:1], fp)
+    with pytest.raises(AlignmentError, match=r"window 2 spans \[256, 384\) .* 383 samples"):
+        compare_windows(series[:383], registers, fp)

@@ -6,7 +6,6 @@ import pytest
 from regwave.errors import FamilyMismatchError, InputError, LengthError, PolicyError
 from regwave.reducer import (
     ReducedRegister,
-    ReducedWindow,
     ReductionPolicy,
     compression_ratio,
     decompose,
@@ -90,13 +89,6 @@ INVALID_REGISTERS = {
 def test_invalid_register_is_refused(changes):
     with pytest.raises(InputError):
         _hand_built(**changes)
-
-
-def test_window_start_follows_from_its_index():
-    register = _hand_built()
-    assert [ReducedWindow(index=i, register=register).start for i in range(3)] == [0, 4, 8]
-    with pytest.raises(InputError):
-        ReducedWindow(index=-1, register=register)
 
 
 @pytest.mark.parametrize("family", ("haar", "db2"))
