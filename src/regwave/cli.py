@@ -163,10 +163,13 @@ def cmd_reduce(args) -> int:
         total_samples=int(series.shape[0]),
         dropped_samples=dropped,
     )
-    kept = registers[0].coeffs.shape[0]
+    low, high = min(r.depth for r in registers), max(r.depth for r in registers)
+    depth, kept = f"{low}", f"{args.window >> low}"
+    if high > low:
+        depth, kept = f"{low}-{high}", f"{args.window >> high}-{kept}"
     print(
-        f"reduced {len(registers)} window(s) of {args.window} samples to {kept} "
-        f"coefficients each (path {registers[0].path!r}) in {args.out}"
+        f"reduced {len(registers)} window(s) of {args.window} samples at depth {depth} "
+        f"to {kept} coefficients each in {args.out}"
     )
     return EXIT_OK
 

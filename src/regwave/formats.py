@@ -309,77 +309,72 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedRegister]]:
     per window, window r at entry r.
 
     Entry i must have index i, so windows are listed in order without gaps
-    or repeats.  Each entry must make a valid ReducedRegister and agree with
-    the envelope: its original_length is the file's window_size, its stored
-    start is ``index * window_size``, and its depth is the file's depth, or
-    less when a positive min_energy_ratio may have stopped its descent early.
+    or repeats.  Each entry must hold fields of the JSON types README gives,
+    make a valid ReducedRegister and agree with the envelope: its
+    original_length is the file's window_size, its stored start is
+    ``index * window_size``, and its depth is the file's depth, or less when
+    a positive min_energy_ratio may have stopped its descent early.
 
     Raises:
         ParseError: unreadable file, unknown family, an envelope without
-            integer window_size and depth and a numeric min_energy_ratio, a
-            malformed entry, or an entry that breaks the above, naming its
-            window.
+            integer window_size and depth, a numeric min_energy_ratio and
+            an array of windows, or an entry that breaks the above, naming
+            its window.
     """
-    doc = _read_json(path, REDUCED_FORMAT)
+    doc, path = _read_json(path, REDUCED_FORMAT), str(path)
     family = doc.get("family")
     if family not in FAMILIES:
-        raise ParseError(f"unsupported family {family!r}", str(path), 0)
+        raise ParseError(f"unsupported family {family!r}", path)
     window_size, depth, floor = (
         doc.get(key) for key in ("window_size", "depth", "min_energy_ratio")
     )
-    if not (
-        isinstance(window_size, int)
-        and isinstance(depth, int)
-        and isinstance(floor, (int, float))
-    ):
+    if not (_is_int(window_size) and _is_int(depth) and _is_number(floor)):
         raise ParseError(
             "envelope needs integer window_size and depth and a numeric "
             f"min_energy_ratio, got {window_size!r}, {depth!r}, {floor!r}",
-            str(path),
-            0,
+            path,
         )
+    if type(doc.get("windows")) is not list:
+        raise ParseError("windows must be an array", path)
     registers = []
-    for i, entry in enumerate(doc.get("windows", [])):
+    for i, entry in enumerate(doc["windows"]):
         try:
-            index, start = int(entry["index"]), int(entry["start"])
+            index, start, length, letters, coeffs, ledger = (entry[key] for key in (
+                "index", "start", "original_length", "path", "coefficients",
+                "sibling_energies"))
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"window {i}: malformed entry: {exc}", path) from None
+        if not (_is_int(index) and _is_int(start) and _is_int(length)
+                and type(letters) is str and _is_numbers(coeffs)
+                and type(ledger) is list and all(map(_is_numbers, ledger))):
+            raise ParseError(
+                f"window {i}: needs integer index, start and original_length, a "
+                "string path, and arrays of numbers for coefficients and for each "
+                "sibling_energies pair",
+                path,
+            )
+        try:
             register = ReducedRegister(
-                original_length=int(entry["original_length"]),
+                original_length=length,
                 family=family,
-                path=str(entry["path"]),
-                coeffs=np.array(entry["coefficients"], dtype=np.float64),
-                sibling_energies=tuple(
-                    (float(k), float(d)) for k, d in entry["sibling_energies"]
-                ),
+                path=letters,
+                coeffs=np.array(coeffs, dtype=np.float64),
+                sibling_energies=tuple((float(k), float(d)) for k, d in ledger),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed window entry: {exc}", str(path), 0) from None
-        except InputError as exc:
-            raise ParseError(f"window {i}: {exc}", str(path), 0) from None
+        except (InputError, ValueError, OverflowError) as exc:
+            raise ParseError(f"window {i}: {exc}", path) from None
         if index != i:
-            raise ParseError(
-                f"window {i}: index {index} is not its position {i} in windows",
-                str(path),
-                0,
-            )
+            raise ParseError(f"window {i}: index {index} is not its position {i} in windows",
+                             path)
         if register.original_length != window_size:
-            raise ParseError(
-                f"window {index}: original_length {register.original_length} is "
-                f"not the file's window_size {window_size}",
-                str(path),
-                0,
-            )
+            raise ParseError(f"window {i}: original_length {length} is not the file's "
+                             f"window_size {window_size}", path)
         if start != index * window_size:
-            raise ParseError(
-                f"window {index}: start {start} is not index {index} * "
-                f"window_size {window_size}",
-                str(path),
-                0,
-            )
+            raise ParseError(f"window {i}: start {start} is not index {i} * "
+                             f"window_size {window_size}", path)
         if register.depth > depth or (register.depth < depth and not floor > 0):
             raise ParseError(
-                f"window {index}: depth {register.depth} is not the file's depth {depth}",
-                str(path),
-                0,
+                f"window {i}: depth {register.depth} is not the file's depth {depth}", path
             )
         registers.append(register)
     return doc, registers
@@ -400,25 +395,43 @@ def write_model_file(path, model: GaussianModel, *, training_window: str) -> Non
 
 
 def read_model_file(path) -> tuple[GaussianModel, dict]:
-    doc = _read_json(path, MODEL_FORMAT)
+    doc, path = _read_json(path, MODEL_FORMAT), str(path)
     try:
-        mu = np.array(doc["mu"], dtype=np.float64)
-        sigma2 = np.array(doc["sigma2"], dtype=np.float64)
-        epsilon = doc["epsilon"]
-        quantile = doc["quantile"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed model: {exc}", str(path), 0) from None
-    if mu.shape != sigma2.shape or mu.ndim != 1:
-        raise ParseError("mu and sigma2 must be equal-length lists", str(path), 0)
-    if np.any(sigma2 <= 0):
-        raise ParseError("sigma2 entries must be positive", str(path), 0)
-    model = GaussianModel(
-        mu=mu,
-        sigma2=sigma2,
-        epsilon=None if epsilon is None else float(epsilon),
-        quantile=None if quantile is None else float(quantile),
-    )
+        mu, sigma2, epsilon, quantile = (
+            doc[key] for key in ("mu", "sigma2", "epsilon", "quantile")
+        )
+    except KeyError as exc:
+        raise ParseError(f"malformed model: missing {exc}", path) from None
+    if not (_is_numbers(mu) and _is_numbers(sigma2)
+            and all(v is None or _is_number(v) for v in (epsilon, quantile))):
+        raise ParseError("model needs arrays of numbers mu and sigma2 and a number or "
+                         "null epsilon and quantile", path)
+    if len(mu) != len(sigma2):
+        raise ParseError("mu and sigma2 must be equal-length lists", path)
+    try:
+        model = GaussianModel(
+            mu=np.array(mu, dtype=np.float64),
+            sigma2=np.array(sigma2, dtype=np.float64),
+            epsilon=None if epsilon is None else float(epsilon),
+            quantile=None if quantile is None else float(quantile),
+        )
+    except OverflowError as exc:
+        raise ParseError(f"malformed model: {exc}", path) from None
+    if np.any(model.sigma2 <= 0):
+        raise ParseError("sigma2 entries must be positive", path)
     return model, doc
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true and false load as bools
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_numbers(value) -> bool:
+    return type(value) is list and all(type(v) in (int, float) for v in value)
 
 
 def _read_json(path, expected_format: str) -> dict:

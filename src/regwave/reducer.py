@@ -8,6 +8,8 @@ it equals the sum of everything that was thrown away.
 
 A register does not know where its window lies in a series: the batched
 functions take and return windows in order, so register r is row r.
+Reduction splits every row at each level under one mask of the rows still
+descending; synthesis rebuilds the registers of each depth as one group.
 """
 
 from __future__ import annotations
@@ -109,11 +111,14 @@ def decompose_windows(
 ) -> list[ReducedRegister]:
     """Reduce every row of a ``(windows, n)`` matrix to its strongest branch.
 
-    Each level splits all rows still descending at once and keeps, per row,
-    the child holding more energy; ties keep the approximation branch.  A row
-    whose winner falls below the policy's energy floor stops where it is.
-    The window length n must be a power of two with room for max_depth
-    halvings.
+    Each level splits the whole block and keeps, per row, the child holding
+    more energy; ties keep the approximation branch.  Rows do not mix, so
+    each row splits as it would alone, bit for bit.  Only rows in the active
+    mask gain a letter and a ledger pair; a row whose winner falls below the
+    policy's energy floor leaves the mask and keeps its parent block as its
+    coefficients.  Once the floor has stopped every row the descent ends, so
+    a block shorter than the filter is never split.  The window length n
+    must be a power of two with room for max_depth halvings.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 2:
@@ -125,56 +130,39 @@ def decompose_windows(
             f"max_depth {policy.max_depth} exceeds log2 of the window length {x.shape[1]}"
         )
 
-    rows = np.arange(x.shape[0])  # rows still descending
+    paths = [""] * x.shape[0]
+    ledgers: list[list[tuple[float, float]]] = [[] for _ in paths]
+    coeffs = [None] * x.shape[0]
+    active = np.ones(x.shape[0], dtype=bool)
     block, block_energy = x, None
-    levels = []  # per level: (rows, took_high, kept, discarded)
-    finished = []  # (rows, blocks) of rows that stopped early
     for level in range(1, policy.max_depth + 1):
         approx, detail = analysis_step(block, filters)
         e_lo, e_hi = energies(approx), energies(detail)
         high = e_hi > e_lo
         kept = np.where(high, e_hi, e_lo)
-        discarded = np.where(high, e_lo, e_hi)
-        winner = np.where(high[:, None], detail, approx)
         # The energy floor only guards descents past the first level, so the
         # result always carries at least one branch letter.
         if level > 1:
-            stop = kept < policy.min_energy_ratio * block_energy
+            stop = active & (kept < policy.min_energy_ratio * block_energy)
             if stop.any():
-                finished.append((rows[stop], block[stop]))
-                go = ~stop
-                rows, high, kept, discarded, winner = (
-                    rows[go], high[go], kept[go], discarded[go], winner[go]
-                )
-                if not rows.size:
-                    # Every row stopped: the next level's block may be
-                    # shorter than the filter, so it is never split.
+                block.setflags(write=False)
+                for r in np.flatnonzero(stop).tolist():
+                    coeffs[r] = block[r]
+                active &= ~stop
+                if not active.any():
                     break
-        levels.append((rows, high, kept, discarded))
-        block, block_energy = winner, kept
-    finished.append((rows, block))
-
-    paths = [""] * x.shape[0]
-    ledgers: list[list[tuple[float, float]]] = [[] for _ in paths]
-    for level_rows, high, kept, discarded in levels:
-        for r, h, k, d in zip(
-            level_rows.tolist(), high.tolist(), kept.tolist(), discarded.tolist()
-        ):
-            paths[r] += "H" if h else "L"
-            ledgers[r].append((k, d))
-    coeffs = [None] * x.shape[0]
-    for done_rows, blocks in finished:
-        blocks.setflags(write=False)
-        for r, c in zip(done_rows.tolist(), blocks):
-            coeffs[r] = c
+        discarded = np.where(high, e_lo, e_hi)
+        rows = zip(active.tolist(), high.tolist(), kept.tolist(), discarded.tolist())
+        for r, (on, h, k, d) in enumerate(rows):
+            if on:
+                paths[r] += "H" if h else "L"
+                ledgers[r].append((k, d))
+        block, block_energy = np.where(high[:, None], detail, approx), kept
+    block.setflags(write=False)
+    for r in np.flatnonzero(active).tolist():
+        coeffs[r] = block[r]
     return [
-        ReducedRegister(
-            original_length=x.shape[1],
-            family=filters.family,
-            path=path,
-            coeffs=c,
-            sibling_energies=tuple(ledger),
-        )
+        ReducedRegister(x.shape[1], filters.family, path, c, tuple(ledger))
         for path, c, ledger in zip(paths, coeffs, ledgers)
     ]
 
@@ -189,9 +177,10 @@ def synthesize_windows(registers, filters: FilterPair) -> np.ndarray:
 
     Discarded siblings enter as zero blocks, so each window is the orthogonal
     projection of its original window onto the kept branch's subspace.  All
-    registers must rebuild one length n; they are rebuilt as one batch
-    whatever their depths and paths, as the rows of a ``(windows, n)``
-    matrix.  No registers give a ``(0, 0)`` matrix.
+    registers must rebuild one length n.  The registers of each depth are
+    rebuilt as one group, level by level, and written back to their rows of
+    a ``(windows, n)`` matrix; rows do not mix, so a register rebuilds the
+    same bits in any group.  No registers give a ``(0, 0)`` matrix.
     """
     for reduced in registers:
         if filters.family != reduced.family:
@@ -203,28 +192,18 @@ def synthesize_windows(registers, filters: FilterPair) -> np.ndarray:
         raise LengthError(f"registers rebuild different lengths {lengths}")
     if not registers:
         return np.empty((0, 0))
-    # A register joins the batch at the level its kept block lives on.
-    # Deepest registers first, so the registers joining at each level append
-    # their rows to the running block.
-    order = sorted(range(len(registers)), key=lambda r: registers[r].depth, reverse=True)
-    ranked = [registers[r] for r in order]
-    current = None
-    joined = 0
-    for level in range(ranked[0].depth, -1, -1):
-        start = joined
-        while joined < len(ranked) and ranked[joined].depth == level:
-            joined += 1
-        if joined > start:
-            fresh = np.array([r.coeffs for r in ranked[start:joined]], dtype=np.float64)
-            current = fresh if current is None else np.concatenate([current, fresh])
-        if level:
-            high = np.array([r.path[level - 1] == "H" for r in ranked[:joined]])[:, None]
+    out = np.empty((len(registers), lengths[0]))
+    for depth in {reduced.depth for reduced in registers}:
+        rows = [r for r, reduced in enumerate(registers) if reduced.depth == depth]
+        group = [registers[r] for r in rows]
+        current = np.array([reduced.coeffs for reduced in group], dtype=np.float64)
+        for level in range(depth, 0, -1):
+            high = np.array([reduced.path[level - 1] == "H" for reduced in group])[:, None]
             zeros = np.zeros_like(current)
             current = synthesis_step(
                 np.where(high, zeros, current), np.where(high, current, zeros), filters
             )
-    out = np.empty_like(current)
-    out[order] = current
+        out[rows] = current
     return out
 
 

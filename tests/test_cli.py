@@ -208,6 +208,66 @@ def _windows_0_0(doc):
     doc["windows"] = [doc["windows"][0], doc["windows"][0]]
 
 
+# Values of the wrong JSON type, which the reader refuses rather than converts.
+def _index_float(doc):
+    doc["windows"][1]["index"] = 1.9
+
+
+def _index_bool(doc):
+    doc["windows"][1]["index"] = True
+
+
+def _start_string(doc):
+    doc["windows"][1]["start"] = "64"
+
+
+def _length_float(doc):
+    doc["windows"][1]["original_length"] = 64.5
+
+
+def _coefficient_string(doc):
+    doc["windows"][1]["coefficients"][0] = "1.5"
+
+
+def _energy_string(doc):
+    doc["windows"][1]["sibling_energies"][0][1] = "2.0"
+
+
+def _start_missing(doc):
+    del doc["windows"][1]["start"]
+
+
+def _entry_array(doc):
+    doc["windows"][1] = []
+
+
+def _energy_triple(doc):
+    doc["windows"][1]["sibling_energies"][0].append(0.0)
+
+
+def _coefficient_beyond_float(doc):
+    doc["windows"][1]["coefficients"][0] = 10**400
+
+
+def _envelope_depth_bool(doc):
+    doc["depth"] = True
+
+
+def _windows_number(doc):
+    doc["windows"] = 5
+
+
+def _windows_null(doc):
+    doc["windows"] = None
+
+
+def _windows_missing(doc):
+    del doc["windows"]
+
+
+WINDOW_TYPES = "window 1: needs integer index, start and original_length, a string path"
+
+
 @pytest.mark.parametrize("verb", ["synthesize", "compare"])
 @pytest.mark.parametrize("edit, message", [
     (_longer_ledger, "window 0: 2 sibling_energies pairs for path 'L'"),
@@ -219,6 +279,20 @@ def _windows_0_0(doc):
     (_windows_0_2, "window 1: index 2 is not its position 1 in windows"),
     (_windows_1_0, "window 0: index 1 is not its position 0 in windows"),
     (_windows_0_0, "window 1: index 0 is not its position 1 in windows"),
+    (_index_float, WINDOW_TYPES),
+    (_index_bool, WINDOW_TYPES),
+    (_start_string, WINDOW_TYPES),
+    (_length_float, WINDOW_TYPES),
+    (_coefficient_string, WINDOW_TYPES),
+    (_energy_string, WINDOW_TYPES),
+    (_start_missing, "window 1: malformed entry: 'start'"),
+    (_entry_array, "window 1: malformed entry: list indices"),
+    (_energy_triple, "window 1: too many values to unpack"),
+    (_coefficient_beyond_float, "window 1: int too large to convert to float"),
+    (_envelope_depth_bool, "envelope needs integer window_size and depth"),
+    (_windows_number, "windows must be an array"),
+    (_windows_null, "windows must be an array"),
+    (_windows_missing, "windows must be an array"),
 ])
 def test_inconsistent_reduced_window_exits_two(video_sim, tmp_path, capsys, verb, edit,
                                                message):
@@ -568,6 +642,49 @@ def test_model_without_epsilon_exits_two(round_trip_inputs, tmp_path, capsys, ve
     assert main([verb, *round_trip_inputs[verb], "--model", str(path), "--out", str(out)]) == 2
     assert f"model {path} carries no epsilon" in capsys.readouterr().err
     assert not out.exists()
+
+
+MODEL_TYPES = "model needs arrays of numbers mu and sigma2"
+
+
+@pytest.mark.parametrize("verb", ["detect", "compare"])
+@pytest.mark.parametrize("key, value, message", [
+    ("epsilon", "abc", MODEL_TYPES), ("epsilon", [1], MODEL_TYPES),
+    ("epsilon", "0.5", MODEL_TYPES), ("epsilon", True, MODEL_TYPES),
+    ("quantile", {}, MODEL_TYPES), ("mu", ["1.0"], MODEL_TYPES),
+    ("mu", [10**400], "malformed model: int too large to convert to float"),
+], ids=["epsilon_abc", "epsilon_array", "epsilon_string", "epsilon_bool", "quantile_object",
+        "mu_string", "mu_beyond_float"])
+def test_malformed_model_value_exits_two(round_trip_inputs, tmp_path, capsys,
+                                        verb, key, value, message):
+    model = json.loads(Path(round_trip_inputs["model"]).read_text())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**model, key: value}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([verb, *round_trip_inputs[verb], "--model", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reduce_summary_states_the_depths_and_coefficients_of_every_window(
+    round_trip_inputs, tmp_path, capsys
+):
+    register = round_trip_inputs["detect"][0]
+    capsys.readouterr()
+    assert main(["reduce", register, "--family", "haar", "--depth", "4",
+                 "--min-energy-ratio", "0.99", "--window", "64", "--out",
+                 str(tmp_path / "mixed.json")]) == 0
+    paths = [w["path"] for w in json.loads((tmp_path / "mixed.json").read_text())["windows"]]
+    assert sorted(map(len, paths)) == [1, 2, 4]
+    assert "3 window(s) of 64 samples at depth 1-4 to 4-32 coefficients each" in (
+        capsys.readouterr().out
+    )
+    assert main(["reduce", register, "--depth", "2", "--window", "64", "--out",
+                 str(tmp_path / "even.json")]) == 0
+    assert "3 window(s) of 64 samples at depth 2 to 16 coefficients each" in (
+        capsys.readouterr().out
+    )
 
 
 def test_compare_report_records_the_models_quantile(round_trip_inputs, tmp_path):

@@ -141,7 +141,8 @@ def test_reduced_file_rejects_inconsistent_entries(tmp_path):
         read_reduced_file(path)
     doc["windows"][0]["path"] = "LL"
     for key, value in (("window_size", None), ("window_size", "64"), ("depth", 2.0),
-                       ("min_energy_ratio", None), ("min_energy_ratio", "0")):
+                       ("depth", True), ("min_energy_ratio", None),
+                       ("min_energy_ratio", "0"), ("min_energy_ratio", False)):
         path.write_text(json.dumps({**doc, key: value}))
         with pytest.raises(ParseError, match="envelope needs integer window_size"):
             read_reduced_file(path)
