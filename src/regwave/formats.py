@@ -417,6 +417,9 @@ def read_model_file(path) -> tuple[GaussianModel, dict]:
         )
     except OverflowError as exc:
         raise ParseError(f"malformed model: {exc}", path) from None
+    scalars = [v for v in (model.epsilon, model.quantile) if v is not None]
+    if not np.isfinite(np.concatenate([model.mu, model.sigma2, scalars])).all():
+        raise ParseError("mu, sigma2, epsilon and quantile must be finite", path)
     if np.any(model.sigma2 <= 0):
         raise ParseError("sigma2 entries must be positive", path)
     return model, doc

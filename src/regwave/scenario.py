@@ -11,12 +11,13 @@ items.  Sections:
     [anomaly]    kind (spike|dropout|drift), switch, port, t0 (s),
                  duration (s), magnitude
 
-Every declared port needs exactly one profile.  [switch], [profile], and
-[anomaly] may repeat.
+Every declared port needs exactly one profile, and every number must be
+finite.  [switch], [profile], and [anomaly] may repeat.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DataError, ParseError
@@ -60,18 +61,50 @@ class ScenarioConfig:
         ]
 
 
-def _to_float(raw: str, key: str, path: str, line: int) -> float:
+def _number(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ParseError(f"{key} must be a number, got {raw!r}", path, line) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
 
 
-def _to_int(raw: str, key: str, path: str, line: int) -> int:
+def _integer(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"{key} must be an integer, got {raw!r}", path, line) from None
+        raise ValueError(f"must be an integer, got {raw!r}") from None
+
+
+def _integers(raw: str) -> tuple[int, ...]:
+    return tuple(_integer(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+
+def _convert(convert, raw: str, key: str, path: str, line: int):
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ParseError(f"{key} {exc}", path, line) from None
+
+
+def _build(cls, path: str, line: int, *args):
+    """cls(*args), refusing its DataError as a ParseError at line."""
+    try:
+        return cls(*args)
+    except DataError as exc:
+        raise ParseError(str(exc), path, line) from None
+
+
+def _burst(raw: str, path: str, line: int) -> Burst:
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 3:
+        raise ParseError("burst takes start, duration, multiplier", path, line)
+    return _build(Burst, path, line, *(
+        _convert(_number, part, f"burst {what}", path, line)
+        for part, what in zip(parts, ("start", "duration", "multiplier"))
+    ))
 
 
 class _Section:
@@ -80,18 +113,26 @@ class _Section:
         self.line = line
         self.items: list[tuple[str, str, int]] = []
 
-    def get(self, key: str, path: str, default=None, required=True) -> tuple[str, int]:
+    def get(self, key: str, path: str, convert=None, default=None):
+        """The converted value of key and its line; a key without a default is required."""
         found = [(v, ln) for k, v, ln in self.items if k == key]
-        if not found:
-            if required:
-                raise ParseError(f"[{self.kind}] is missing {key!r}", path, self.line)
-            return default, self.line
         if len(found) > 1:
             raise ParseError(f"duplicate {key!r} in [{self.kind}]", path, found[1][1])
-        return found[0]
+        if not found and default is None:
+            raise ParseError(f"[{self.kind}] is missing {key!r}", path, self.line)
+        raw, line = found[0] if found else (default, self.line)
+        return (raw if convert is None else _convert(convert, raw, key, path, line)), line
 
-    def get_all(self, key: str) -> list[tuple[str, int]]:
-        return [(v, ln) for k, v, ln in self.items if k == key]
+    def port(self, switches: dict, path: str) -> tuple[str, int]:
+        """The declared (switch, port) that a [profile] or [anomaly] names."""
+        what, of = ("profile for", "on") if self.kind == "profile" else ("anomaly on", "of")
+        sw_id, line = self.get("switch", path)
+        if sw_id not in switches:
+            raise ParseError(f"{what} unknown switch {sw_id!r}", path, line)
+        port, line = self.get("port", path, _integer)
+        if port not in switches[sw_id].ports:
+            raise ParseError(f"{what} unknown port {port} {of} {sw_id!r}", path, line)
+        return sw_id, port
 
 
 _SECTION_KEYS = {
@@ -139,105 +180,45 @@ def parse_scenario(text: str, path: str = "<scenario>") -> ScenarioConfig:
     sections = _tokenize(text, path)
     heads = [s for s in sections if s.kind == "scenario"]
     if len(heads) != 1:
-        raise ParseError(
-            f"expected exactly one [scenario] section, found {len(heads)}", path,
-            heads[1].line if len(heads) > 1 else 1,
-        )
+        raise ParseError(f"expected exactly one [scenario] section, found {len(heads)}",
+                         path, heads[1].line if heads else 1)
     head = heads[0]
     name, _ = head.get("name", path)
-    duration_raw, dln = head.get("duration", path)
-    interval_raw, iln = head.get("interval", path, default="10", required=False)
-    duration = _to_float(duration_raw, "duration", path, dln)
-    interval = _to_float(interval_raw, "interval", path, iln)
+    duration, line = head.get("duration", path, _number)
     if duration < 0:
-        raise ParseError("duration must be nonnegative", path, dln)
+        raise ParseError("duration must be nonnegative", path, line)
+    interval, line = head.get("interval", path, _number, "10")
     if interval <= 0:
-        raise ParseError("interval must be positive", path, iln)
+        raise ParseError("interval must be positive", path, line)
     config = ScenarioConfig(name=name, duration=duration, interval=interval)
 
     for sec in (s for s in sections if s.kind == "switch"):
         sw_id, _ = sec.get("id", path)
         if sw_id in config.switches:
             raise ParseError(f"switch {sw_id!r} declared twice", path, sec.line)
-        ports_raw, pln = sec.get("ports", path)
-        ports = tuple(
-            _to_int(tok.strip(), "ports", path, pln)
-            for tok in ports_raw.split(",")
-            if tok.strip()
-        )
+        ports, line = sec.get("ports", path, _integers)
         if not ports:
-            raise ParseError("ports list is empty", path, pln)
-        server_raw, sln = sec.get("server_ports", path, default="", required=False)
-        server = tuple(
-            _to_int(tok.strip(), "server_ports", path, sln)
-            for tok in server_raw.split(",")
-            if tok.strip()
-        )
+            raise ParseError("ports list is empty", path, line)
+        server, line = sec.get("server_ports", path, _integers, "")
         bad = [p for p in server if p not in ports]
         if bad:
-            raise ParseError(f"server_ports {bad} are not in ports", path, sln)
+            raise ParseError(f"server_ports {bad} are not in ports", path, line)
         config.switches[sw_id] = SwitchSpec(sw_id, ports, server)
 
     for sec in (s for s in sections if s.kind == "profile"):
-        sw_id, swln = sec.get("switch", path)
-        if sw_id not in config.switches:
-            raise ParseError(f"profile for unknown switch {sw_id!r}", path, swln)
-        port_raw, pln = sec.get("port", path)
-        port = _to_int(port_raw, "port", path, pln)
-        if port not in config.switches[sw_id].ports:
-            raise ParseError(f"profile for unknown port {port} on {sw_id!r}", path, pln)
-        if (sw_id, port) in config.profiles:
+        sw_id, port = key = sec.port(config.switches, path)
+        if key in config.profiles:
             raise ParseError(f"port {port} on {sw_id!r} has two profiles", path, sec.line)
-        rate_raw, rln = sec.get("base_rate", path)
-        jitter_raw, jln = sec.get("jitter", path, default="0", required=False)
-        bursts = []
-        for burst_raw, bln in sec.get_all("burst"):
-            parts = [p.strip() for p in burst_raw.split(",")]
-            if len(parts) != 3:
-                raise ParseError(
-                    "burst takes start, duration, multiplier", path, bln
-                )
-            try:
-                bursts.append(
-                    Burst(
-                        _to_float(parts[0], "burst start", path, bln),
-                        _to_float(parts[1], "burst duration", path, bln),
-                        _to_float(parts[2], "burst multiplier", path, bln),
-                    )
-                )
-            except DataError as exc:
-                raise ParseError(str(exc), path, bln) from None
-        try:
-            config.profiles[(sw_id, port)] = TrafficProfile(
-                base_rate=_to_float(rate_raw, "base_rate", path, rln),
-                jitter=_to_float(jitter_raw, "jitter", path, jln),
-                bursts=tuple(bursts),
-            )
-        except DataError as exc:
-            raise ParseError(str(exc), path, sec.line) from None
+        rate, _ = sec.get("base_rate", path, _number)
+        jitter, _ = sec.get("jitter", path, _number, "0")
+        bursts = tuple(_burst(v, path, ln) for k, v, ln in sec.items if k == "burst")
+        config.profiles[key] = _build(TrafficProfile, path, sec.line, rate, jitter, bursts)
 
     for sec in (s for s in sections if s.kind == "anomaly"):
-        sw_id, swln = sec.get("switch", path)
-        if sw_id not in config.switches:
-            raise ParseError(f"anomaly on unknown switch {sw_id!r}", path, swln)
-        port_raw, pln = sec.get("port", path)
-        port = _to_int(port_raw, "port", path, pln)
-        if port not in config.switches[sw_id].ports:
-            raise ParseError(f"anomaly on unknown port {port} of {sw_id!r}", path, pln)
+        sw_id, port = sec.port(config.switches, path)
         kind, _ = sec.get("kind", path)
-        t0_raw, tln = sec.get("t0", path)
-        dur_raw, dln2 = sec.get("duration", path)
-        mag_raw, mln = sec.get("magnitude", path)
-        try:
-            anomaly = AnomalyScenario(
-                kind=kind,
-                port=port,
-                t0=_to_float(t0_raw, "t0", path, tln),
-                duration=_to_float(dur_raw, "duration", path, dln2),
-                magnitude=_to_float(mag_raw, "magnitude", path, mln),
-            )
-        except DataError as exc:
-            raise ParseError(str(exc), path, sec.line) from None
+        numbers = (sec.get(k, path, _number)[0] for k in ("t0", "duration", "magnitude"))
+        anomaly = _build(AnomalyScenario, path, sec.line, kind, port, *numbers)
         config.anomalies.append((sw_id, anomaly))
 
     missing = [

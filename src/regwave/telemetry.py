@@ -11,6 +11,7 @@ milliseconds.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, fields
 
@@ -133,19 +134,14 @@ def _rng_for(seed: int, switch_id: str) -> np.random.Generator:
     )
 
 
-def _sum_per_tick(values: np.ndarray, tick: np.ndarray, n_ticks: int) -> np.ndarray:
-    """Sum consecutive segment values into their ticks, left to right.
-
-    Adds each tick's first segments, then its second ones, and so on, so a
-    tick with segments s0, s1, s2 gets ((0.0 + s0) + s1) + s2 exactly.
-    np.add.reduceat would add s0 to a pairwise sum of the rest, which can
-    differ in the last bit once a tick holds three or more segments.
-    """
-    rank = np.arange(tick.shape[0]) - np.searchsorted(tick, tick)
-    total = np.zeros(n_ticks)
-    for k in range(int(rank.max(initial=-1)) + 1):
-        at = rank == k
-        total[tick[at]] += values[at]
+def _accrue(start: int, volume: np.ndarray, counter: str) -> np.ndarray:
+    """start plus the running total of volume in whole units; refuses a tick
+    volume of 2**63 or more (inf and nan too) and a total past int64."""
+    if not np.all(volume < 2.0**63):
+        raise DataError(f"{counter}: a tick volume reaches 2**63")
+    total = start + np.cumsum(np.rint(volume).astype(np.int64))
+    if np.any(total < np.concatenate([[start], total[:-1]])):
+        raise DataError(f"{counter} passes the int64 range")
     return total
 
 
@@ -172,6 +168,7 @@ class SwitchSim:
         """Exact bytes offered to a port over each tick [edges[k], edges[k+1])
         before jitter, and the bytes dropouts suppress in each tick."""
         profile = self.profiles[port]
+        rate = profile.base_rate
         scenarios = [s for s in self.scenarios if s.port == port]
         cuts = np.array(
             [t for b in profile.bursts for t in (b.t_start, b.t_start + b.duration)]
@@ -208,14 +205,11 @@ class SwitchSim:
 
         simpson = ramps(a) + 4.0 * ramps(mid) + ramps(b)
         n_ticks = edges.shape[0] - 1
-        offered = _sum_per_tick(
-            profile.base_rate * const * (b - a) * simpson / 6.0, tick, n_ticks
-        )
+        # bincount adds a tick's pieces left to right; np.add.reduceat would not.
+        offered = np.bincount(tick, rate * const * (b - a) * simpson / 6.0, n_ticks)
         if not any(s.kind == "dropout" for s in scenarios):
             return offered, np.zeros(n_ticks)
-        total = _sum_per_tick(
-            profile.base_rate * undropped * (b - a) * simpson / 6.0, tick, n_ticks
-        )
+        total = np.bincount(tick, rate * undropped * (b - a) * simpson / 6.0, n_ticks)
         return offered, np.maximum(0.0, total - offered)
 
     def run(self, n_ticks: int, dt: float) -> tuple[np.ndarray, dict]:
@@ -225,7 +219,7 @@ class SwitchSim:
         max(0, 1 + jitter * g) with one standard normal g drawn from the
         switch stream (tick-major, then port, then rx before tx), then
         rounded half-to-even to whole bytes.  Dropout-suppressed volume lands
-        in the drop counters.
+        in the drop counters.  A counter that would pass int64 is a DataError.
 
         Returns:
             (timestamps, columns): the clock after each tick, and per port a
@@ -242,14 +236,14 @@ class SwitchSim:
             offered, suppressed = self._volumes(port, edges)
             jitter = self.profiles[port].jitter
             start = self.counters[port]
-            dropped = np.cumsum(np.rint(suppressed).astype(np.int64))
             col = {}
             for d, side in enumerate(("rx", "tx")):
                 scale = np.maximum(0.0, 1.0 + jitter * draws[:, i, d])
-                sent = np.cumsum(np.rint(offered * scale).astype(np.int64))
-                col[f"{side}_bytes"] = getattr(start, f"{side}_bytes") + sent
+                for name, volume in ((f"{side}_bytes", offered * scale),
+                                     (f"{side}_drops", suppressed)):
+                    col[name] = _accrue(getattr(start, name), volume,
+                                        f"{name} of port {port} on {self.switch_id!r}")
                 col[f"{side}_packets"] = col[f"{side}_bytes"] // FRAME_BYTES
-                col[f"{side}_drops"] = getattr(start, f"{side}_drops") + dropped
                 col[f"{side}_errors"] = np.full(
                     n_ticks, getattr(start, f"{side}_errors"), dtype=np.int64
                 )
@@ -342,10 +336,12 @@ def poll(switches, *, interval: float, duration: float) -> RegisterStore:
     Returns:
         The filled RegisterStore; duration 0 yields an empty one.
     """
-    if interval <= 0:
-        raise InputError(f"interval must be positive, got {interval}")
-    if duration < 0:
-        raise InputError(f"duration must be nonnegative, got {duration}")
+    if not 0 < interval < math.inf:
+        raise InputError(f"interval must be positive and finite, got {interval}")
+    if not 0 <= duration < math.inf:
+        raise InputError(f"duration must be nonnegative and finite, got {duration}")
+    if duration / interval == math.inf:
+        raise InputError(f"duration / interval overflows: {duration} / {interval}")
     n_ticks = round(duration / interval)
     if abs(n_ticks * interval - duration) > 1e-9 * max(1.0, interval):
         raise InputError(

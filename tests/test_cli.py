@@ -433,6 +433,33 @@ def test_compare_report_flags_recompute_from_exports(tmp_path):
             assert flags == window[f"flags_{which}"]
 
 
+@pytest.mark.parametrize("interval, message", [
+    ("nan", "interval must be positive and finite, got nan"),
+    ("inf", "interval must be positive and finite, got inf"),
+    ("1e-320", "duration / interval overflows: 2520.0 / 1e-320"),
+])
+def test_simulate_refuses_a_non_finite_tick_count(tmp_path, capsys, interval, message):
+    out = tmp_path / "out"
+    with importlib.resources.as_file(bundled("video-42min.scn")) as scn:
+        assert main(["simulate", str(scn), "--interval", interval, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_counter_past_int64(tmp_path, capsys):
+    # 1e18 bytes a tick: tick 10 passes 2**63 - 1.
+    scn = tmp_path / "big.scn"
+    scn.write_text(
+        "[scenario]\nname = big\nduration = 100\ninterval = 10\n"
+        "[switch]\nid = s1\nports = 1\n"
+        "[profile]\nswitch = s1\nport = 1\nbase_rate = 1e17\njitter = 0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", str(scn), "--out", str(out)]) == 2
+    assert "rx_bytes of port 1 on 's1' passes the int64 range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_scenario_exits_two(tmp_path, capsys):
     scn = tmp_path / "bad.scn"
     scn.write_text("[scenario]\nname = x\n")
@@ -645,6 +672,7 @@ def test_model_without_epsilon_exits_two(round_trip_inputs, tmp_path, capsys, ve
 
 
 MODEL_TYPES = "model needs arrays of numbers mu and sigma2"
+MODEL_FINITE = "mu, sigma2, epsilon and quantile must be finite"
 
 
 @pytest.mark.parametrize("verb", ["detect", "compare"])
@@ -653,8 +681,13 @@ MODEL_TYPES = "model needs arrays of numbers mu and sigma2"
     ("epsilon", "0.5", MODEL_TYPES), ("epsilon", True, MODEL_TYPES),
     ("quantile", {}, MODEL_TYPES), ("mu", ["1.0"], MODEL_TYPES),
     ("mu", [10**400], "malformed model: int too large to convert to float"),
+    ("mu", [float("nan")], MODEL_FINITE), ("sigma2", [float("nan")], MODEL_FINITE),
+    ("sigma2", [float("inf")], MODEL_FINITE), ("epsilon", float("nan"), MODEL_FINITE),
+    ("epsilon", float("inf"), MODEL_FINITE), ("quantile", float("nan"), MODEL_FINITE),
+    ("quantile", float("-inf"), MODEL_FINITE),
 ], ids=["epsilon_abc", "epsilon_array", "epsilon_string", "epsilon_bool", "quantile_object",
-        "mu_string", "mu_beyond_float"])
+        "mu_string", "mu_beyond_float", "mu_nan", "sigma2_nan", "sigma2_inf", "epsilon_nan",
+        "epsilon_inf", "quantile_nan", "quantile_minus_inf"])
 def test_malformed_model_value_exits_two(round_trip_inputs, tmp_path, capsys,
                                         verb, key, value, message):
     model = json.loads(Path(round_trip_inputs["model"]).read_text())
@@ -664,6 +697,23 @@ def test_malformed_model_value_exits_two(round_trip_inputs, tmp_path, capsys,
     capsys.readouterr()
     assert main([verb, *round_trip_inputs[verb], "--model", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["detect", "compare"])
+@pytest.mark.parametrize("key, text", [
+    ("mu", "[1e400]"), ("sigma2", "[1e400]"), ("epsilon", "1e400"), ("quantile", "-1e400"),
+])
+def test_model_number_beyond_float_exits_two(round_trip_inputs, tmp_path, capsys,
+                                             verb, key, text):
+    # Python's json reads the literal 1e400 as inf.
+    model = json.loads(Path(round_trip_inputs["model"]).read_text())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**model, key: "LITERAL"}).replace('"LITERAL"', text))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([verb, *round_trip_inputs[verb], "--model", str(path), "--out", str(out)]) == 2
+    assert MODEL_FINITE in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from regwave.errors import (
+    DataError,
     InputError,
     InsufficientDataError,
     MonotonicityError,
@@ -13,6 +14,7 @@ from regwave.telemetry import (
     Burst,
     SwitchSim,
     TrafficProfile,
+    _accrue,
     _rng_for,
     deltas,
     poll,
@@ -317,6 +319,48 @@ def test_tick_pieces_are_added_left_to_right():
     sw.run(1, 10.0)
     assert sw.counters[1].tx_bytes == 2**53
     assert _reference_volume(profile, [], 0.0, 10.0, True) == 2**53
+
+
+def test_a_tick_of_three_pieces_sums_left_to_right_not_pairwise():
+    # Pieces of 1e16, 1 and 1 bytes.  Left to right each 1 rounds away (ties
+    # to even at a spacing of 2); np.add.reduceat adds 1e16 to 1 + 1 and
+    # reads 10**16 + 2.
+    profile = TrafficProfile(
+        base_rate=1.0, bursts=(Burst(0.0, 8.0, 1.25e15), Burst(9.0, 1.0, 1.0))
+    )
+    sw = SwitchSim("s1", {1: profile}, seed=0)
+    sw.run(1, 10.0)
+    assert sw.counters[1].tx_bytes == sw.counters[1].rx_bytes == 10**16
+
+
+@pytest.mark.parametrize("counter, scenarios", [
+    ("rx_bytes", []), ("rx_drops", [AnomalyScenario("dropout", 1, 0.0, 1e3, 0.0)]),
+])
+def test_a_counter_past_int64_is_refused_not_wrapped(counter, scenarios):
+    # 2**63 - 1024 is the largest float below 2**63: one tick fits, two wrap.
+    sw = SwitchSim("s1", {1: steady(rate=2.0**63 - 1024)}, scenarios, seed=0)
+    sw.run(1, 1.0)
+    assert getattr(sw.counters[1], counter) == 2**63 - 1024
+    with pytest.raises(DataError, match=f"{counter} of port 1 on 's1' passes the int64 range"):
+        sw.run(1, 1.0)
+
+
+@pytest.mark.parametrize("volume", (2.0**63, 1e300, np.inf, np.nan))
+def test_a_tick_volume_of_2_to_the_63_or_more_is_refused(volume):
+    with pytest.raises(DataError, match=r"tx_bytes: a tick volume reaches 2\*\*63"):
+        _accrue(0, np.array([1.0, volume]), "tx_bytes")
+    if np.isfinite(volume):
+        with pytest.raises(DataError, match="rx_bytes of port 1 on 's1': a tick volume"):
+            SwitchSim("s1", {1: steady(rate=volume)}, seed=0).run(1, 1.0)
+
+
+@pytest.mark.parametrize("interval, duration", [
+    (float("nan"), 100.0), (float("inf"), 100.0), (-float("inf"), 100.0),
+    (10.0, float("nan")), (10.0, float("inf")), (1e-320, 100.0),
+])
+def test_poll_refuses_non_finite_time(interval, duration):
+    with pytest.raises(InputError, match="finite|overflows"):
+        poll([make_switch("a")], interval=interval, duration=duration)
 
 
 @pytest.mark.parametrize("interval", (10.0, 0.1))
