@@ -4,15 +4,14 @@ Each verb takes only the flags it reads, and argparse refuses any other
 (exit 2) before anything is read or written.  synthesize and compare take
 family, window size and depth from the reduced file alone.  A saved --model
 fixes its own threshold, so detect and compare refuse --train and --quantile
-next to it.  Exit codes: 0 on success, 2 for input or parse problems, 3 for
-violated data contracts.
+next to it.  Exit codes: 0 on success, 2 for input or parse problems and
+outputs that cannot be written, 3 for violated data contracts.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -128,7 +127,6 @@ def cmd_simulate(args) -> int:
     store = poll(switches, interval=interval, duration=config.duration)
     if args.server_ports_only:
         store = select_server_ports(store, config.server_port_keys())
-    os.makedirs(args.out, exist_ok=True)
     written = formats.export_store(store, args.out)
     n_ticks = round(config.duration / interval)
     if n_ticks == 0:
@@ -140,9 +138,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _deltas(path) -> np.ndarray:
+    """The per-interval deltas of a register CSV, as float64."""
+    _, _, counters = formats.read_register_csv(path)
+    return deltas(counters).astype(np.float64)
+
+
 def cmd_reduce(args) -> int:
-    _, _, counters = formats.read_register_csv(args.register)
-    series = deltas(counters)
+    series = _deltas(args.register)
     filters = make_filter_pair(args.family)
     policy = ReductionPolicy(max_depth=args.depth, min_energy_ratio=args.min_energy_ratio)
     registers, dropped = pipeline.reduce_series(series, filters, policy, args.window)
@@ -182,44 +185,43 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def _model_and_quantile(args) -> tuple[gaussian.GaussianModel | None, float | None]:
-    """The saved --model of detect or compare and the quantile of its threshold,
-    or None and the quantile the verb fits with.
+def _series_and_model(
+    args, per_window: bool
+) -> tuple[np.ndarray, gaussian.GaussianModel | None, float | None]:
+    """The deltas of detect's or compare's register, the model that scores
+    them, and the quantile of its threshold.
 
-    A saved model fixes its own threshold, so --train and --quantile are
-    refused next to it rather than ignored, and a model without one is refused.
+    A saved --model fixes its own threshold, so --train and --quantile are
+    refused next to it before any file is read, and a model without one is
+    refused.  Otherwise the model is fitted and calibrated on the first
+    --train deltas, a prefix in [2, N]; without --train it is fitted on the
+    whole series, or, with per_window, left None: each window is then scored
+    by a fit on its own samples.
     """
-    if args.model is None:
-        return None, 0.01 if args.quantile is None else args.quantile
-    for flag in ("train", "quantile"):
-        if getattr(args, flag) is not None:
-            raise InputError(f"--{flag} cannot be combined with --model")
-    model, _ = formats.read_model_file(args.model)
-    if model.epsilon is None:
-        raise InputError(f"model {args.model} carries no epsilon")
-    return model, model.quantile
-
-
-def _training_prefix(args, n_samples: int) -> int | None:
-    """The --train prefix of detect or compare, or None when not given;
-    a prefix outside [2, n_samples] is refused."""
-    if args.train is not None and not 2 <= args.train <= n_samples:
-        raise InputError(f"--train must lie in [2, {n_samples}], got {args.train}")
-    return args.train
+    if args.model is not None:
+        for flag in ("train", "quantile"):
+            if getattr(args, flag) is not None:
+                raise InputError(f"--{flag} cannot be combined with --model")
+        model, _ = formats.read_model_file(args.model)
+        if model.epsilon is None:
+            raise InputError(f"model {args.model} carries no epsilon")
+        return _deltas(args.register), model, model.quantile
+    quantile = 0.01 if args.quantile is None else args.quantile
+    series = _deltas(args.register)
+    n = series.shape[0]
+    if args.train is not None and not 2 <= args.train <= n:
+        raise InputError(f"--train must lie in [2, {n}], got {args.train}")
+    if args.train is None and per_window:
+        return series, None, quantile
+    prefix = series[: args.train]  # the whole series when train is None
+    return series, gaussian.calibrate(gaussian.fit(prefix), prefix, quantile), quantile
 
 
 def cmd_detect(args) -> int:
-    model, quantile = _model_and_quantile(args)
-    _, _, counters = formats.read_register_csv(args.register)
-    series = deltas(counters).astype(np.float64)
-    if model is not None:
-        trained_on = f"model file {args.model}"
-    else:
-        train = _training_prefix(args, series.shape[0])
-        if train is None:
-            train = series.shape[0]
-        model = pipeline.fit_series_model(series[:train], quantile)
-        trained_on = f"{args.register}[0:{train})"
+    series, model, _ = _series_and_model(args, per_window=False)
+    train = series.shape[0] if args.train is None else args.train
+    trained_on = (f"model file {args.model}" if args.model is not None
+                  else f"{args.register}[0:{train})")
     report = gaussian.detect(model, series)
     os.makedirs(args.out, exist_ok=True)
     formats.write_model_file(
@@ -242,17 +244,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model, quantile = _model_and_quantile(args)
-    _, _, counters = formats.read_register_csv(args.register)
-    series = deltas(counters).astype(np.float64)
+    series, model, quantile = _series_and_model(args, per_window=True)
     meta, registers = formats.read_reduced_file(args.reduced)
     result = pipeline.compare_windows(
-        series,
-        registers,
-        make_filter_pair(meta["family"]),
-        model=model,
-        train=_training_prefix(args, series.shape[0]),
-        quantile=quantile,
+        series, registers, make_filter_pair(meta["family"]), model=model, quantile=quantile
     )
     os.makedirs(args.out, exist_ok=True)
     n = meta["window_size"]
@@ -283,9 +278,7 @@ def cmd_compare(args) -> int:
             f"prd {rep.prd:.3f}% flags {len(rep.flags_original)}/"
             f"{len(rep.flags_synthesized)}"
         )
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    formats.write_json(os.path.join(args.out, "report.json"), doc)
     print(f"comparison report in {os.path.join(args.out, 'report.json')}")
     return EXIT_OK
 
@@ -298,7 +291,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

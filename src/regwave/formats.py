@@ -299,9 +299,7 @@ def write_reduced_file(
             for i, r in enumerate(registers)
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def read_reduced_file(path) -> tuple[dict, list[ReducedRegister]]:
@@ -389,9 +387,7 @@ def write_model_file(path, model: GaussianModel, *, training_window: str) -> Non
         "quantile": model.quantile,
         "training_window": training_window,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def read_model_file(path) -> tuple[GaussianModel, dict]:
@@ -423,6 +419,13 @@ def read_model_file(path) -> tuple[GaussianModel, dict]:
     if np.any(model.sigma2 <= 0):
         raise ParseError("sigma2 entries must be positive", path)
     return model, doc
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document indented by two spaces, with a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _is_int(value) -> bool:

@@ -61,15 +61,6 @@ class Comparison:
     prob_synthesized: np.ndarray
 
 
-def fit_series_model(
-    train_values, quantile: float
-) -> gaussian.GaussianModel:
-    """Fit and calibrate a single-feature model on a training series."""
-    train = np.asarray(train_values, dtype=np.float64)
-    model = gaussian.fit(train)
-    return gaussian.calibrate(model, train, quantile)
-
-
 def fit_row_models(train, quantile: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit and calibrate one single-feature model per row of a ``(rows, m)``
     matrix; returns ``(mu, sigma2, epsilon)`` for :func:`judge_windows`."""
@@ -99,33 +90,25 @@ def compare_windows(
     filters: FilterPair,
     *,
     model: gaussian.GaussianModel | None = None,
-    train: int | None = None,
     quantile: float = 0.01,
 ) -> Comparison:
     """Judge register r against window r of the series, for every register.
 
-    The detector model comes from, in order of preference: the model
-    argument, a fit on the first ``train`` samples of the series, or, with
-    train None, a fit on each window's own original samples.  The same model
-    and epsilon always score both versions of a window.  The windows, all of
-    one length, are fitted, scored and reported as one batch.
+    A model, such as one fitted and calibrated on a training prefix of the
+    series, scores every window with its epsilon; with model None, each
+    window is scored by a model fitted on its own original samples at the
+    given quantile.  The same model and epsilon always score both versions
+    of a window.  The windows, all of one length, are fitted, scored and
+    reported as one batch.
 
     Raises:
-        InsufficientDataError: a model without epsilon, or a train prefix
-            outside ``[2, len(values)]``.
+        InsufficientDataError: a model without epsilon.
         LengthError: when the registers differ in length.
         AlignmentError: when the windows need samples the series lacks.
     """
     x = np.asarray(values, dtype=np.float64)
     if model is not None and model.epsilon is None:
         raise InsufficientDataError("model file carries no epsilon; refit or calibrate")
-    if model is None and train is not None:
-        if not 2 <= train <= x.shape[0]:
-            raise InsufficientDataError(
-                f"training prefix must lie in [2, {x.shape[0]}], got {train}"
-            )
-        model = fit_series_model(x[:train], quantile)
-
     if not registers:
         empty = np.empty((0, 0))
         empty.setflags(write=False)

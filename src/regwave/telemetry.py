@@ -212,6 +212,9 @@ class SwitchSim:
         total = np.bincount(tick, rate * undropped * (b - a) * simpson / 6.0, n_ticks)
         return offered, np.maximum(0.0, total - offered)
 
+    # A volume that overflows to inf or nan is refused by _accrue with its
+    # port and counter; numpy's warning would only print ahead of that.
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self, n_ticks: int, dt: float) -> tuple[np.ndarray, dict]:
         """Accrue n_ticks intervals of dt seconds of traffic on every port.
 
@@ -225,8 +228,8 @@ class SwitchSim:
             (timestamps, columns): the clock after each tick, and per port a
             dict of int64 counter columns keyed by COUNTER_FIELDS.
         """
-        if dt <= 0:
-            raise InputError(f"dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise InputError(f"dt must be positive and finite, got {dt}")
         ports = sorted(self.profiles)
         # Sequential cumsum: the same float additions as ticking the clock.
         edges = np.cumsum(np.concatenate([[self.clock], np.full(n_ticks, float(dt))]))

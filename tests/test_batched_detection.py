@@ -15,9 +15,9 @@ import pytest
 
 from regwave import suite
 from regwave.errors import UndefinedMetricError
-from regwave.gaussian import fit, fit_rows
+from regwave.gaussian import calibrate, fit, fit_rows
 from regwave.metrics import ComparisonReport
-from regwave.pipeline import compare_windows, fit_series_model, reduce_series
+from regwave.pipeline import compare_windows, reduce_series
 from regwave.reducer import ReductionPolicy, compression_ratio, synthesize
 from regwave.telemetry import SwitchSim, TrafficProfile, deltas, poll
 from regwave.wavelets import make_filter_pair
@@ -105,15 +105,22 @@ def bursty(rng, n):
 SOURCES = ("model", "train", "per-window")
 
 
+def prefix_model(train, quantile):
+    return calibrate(fit(train), train, quantile)
+
+
 def _compare_both(series, registers, filters, source, quantile, rng):
     kwargs = {"quantile": quantile}
+    ref_kwargs = dict(kwargs)
     if source == "model":
-        kwargs["model"] = fit_series_model(bursty(rng, 300), quantile)
+        kwargs["model"] = ref_kwargs["model"] = prefix_model(bursty(rng, 300), quantile)
     elif source == "train":
-        kwargs["train"] = max(2, series.shape[0] // 2)
+        # The reference fits its own model on the prefix.
+        ref_kwargs["train"] = train = max(2, series.shape[0] // 2)
+        kwargs["model"] = prefix_model(series[:train], quantile)
     return (
         compare_windows(series, registers, filters, **kwargs),
-        ref_compare(series, registers, filters, **kwargs),
+        ref_compare(series, registers, filters, **ref_kwargs),
     )
 
 
@@ -145,13 +152,15 @@ def test_all_zero_window_raises_as_before(source):
     series = bursty(rng, 3 * 64)
     series[64:128] = 0.0
     registers, _ = reduce_series(series, filters, ReductionPolicy(max_depth=1), 64)
-    kwargs = {"model": fit_series_model(bursty(rng, 100), 0.05)} if source == "model" else {}
+    kwargs = {"model": prefix_model(bursty(rng, 100), 0.05)} if source == "model" else {}
+    ref_kwargs = dict(kwargs)
     if source == "train":
-        kwargs["train"] = 64
-    for compare in (compare_windows, ref_compare):
+        ref_kwargs["train"] = 64
+        kwargs["model"] = prefix_model(series[:64], 0.01)
+    for compare, args in ((compare_windows, kwargs), (ref_compare, ref_kwargs)):
         with pytest.raises(UndefinedMetricError,
                            match="prd is undefined for an all-zero reference"):
-            compare(series, registers, filters, **kwargs)
+            compare(series, registers, filters, **args)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 37])

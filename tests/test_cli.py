@@ -14,6 +14,7 @@ import pytest
 import regwave
 from regwave.cli import build_parser, main
 from regwave.formats import read_register_csv
+from regwave.gaussian import calibrate, fit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -460,6 +461,23 @@ def test_simulate_refuses_a_counter_past_int64(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_overflow_prints_only_the_error_line(tmp_path, capsys):
+    # rate times burst overflows to inf in the volume kernel.
+    scn = tmp_path / "huge.scn"
+    scn.write_text(
+        "[scenario]\nname = huge\nduration = 100\ninterval = 10\n"
+        "[switch]\nid = s1\nports = 1\n"
+        "[profile]\nswitch = s1\nport = 1\nbase_rate = 1e300\nburst = 0, 50, 1e300\n"
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", str(scn), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: rx_bytes of port 1 on 's1': a tick volume reaches 2**63\n"
+    )
+    assert not out.exists()
+
+
 def test_bad_scenario_exits_two(tmp_path, capsys):
     scn = tmp_path / "bad.scn"
     scn.write_text("[scenario]\nname = x\n")
@@ -717,6 +735,35 @@ def test_model_number_beyond_float_exits_two(round_trip_inputs, tmp_path, capsys
     assert not out.exists()
 
 
+# --out per fault, for a verb that writes one file and for one that writes a
+# directory.  os.makedirs creates a directory verb's missing parents, so there
+# a file stands where its parent should be.
+OUT_FAULTS = {
+    "missing_parent": ("nodir/out", "afile/out"),
+    "file_for_directory": ("afile/out", "afile"),
+    "directory_for_file": ("adir", "adir"),
+}
+# The output a directory verb finds taken by a directory in adir.
+TAKEN_OUTPUT = {"simulate": "s1_p1_tx_bytes.csv", "detect": "model.json",
+                "compare": "report.json"}
+
+
+@pytest.mark.parametrize("fault", OUT_FAULTS)
+@pytest.mark.parametrize("verb", ["simulate", "reduce", "synthesize", "detect", "compare"])
+def test_unwritable_out_exits_two_naming_the_path(round_trip_inputs, tmp_path, monkeypatch,
+                                                  capsys, verb, fault):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    Path("adir").mkdir()
+    out = OUT_FAULTS[fault][verb in TAKEN_OUTPUT]
+    if verb in TAKEN_OUTPUT:
+        (Path("adir") / TAKEN_OUTPUT[verb]).mkdir()
+    capsys.readouterr()
+    assert main([verb, *round_trip_inputs[verb], "--out", out]) == 2
+    *_, last = capsys.readouterr().err.splitlines()
+    assert last.startswith("error: [Errno ") and f": '{out}" in last
+
+
 def test_reduce_summary_states_the_depths_and_coefficients_of_every_window(
     round_trip_inputs, tmp_path, capsys
 ):
@@ -743,6 +790,24 @@ def test_compare_report_records_the_models_quantile(round_trip_inputs, tmp_path)
     assert main(["compare", register, red, "--model", round_trip_inputs["model"],
                  "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["quantile"] == 0.05
+
+
+@pytest.mark.parametrize("flags, fitted_on", [
+    ([], "window"), (["--train", "128"], "prefix"), (["--model", "MODEL"], "model"),
+])
+def test_compare_scores_with_the_model_its_flags_pick(round_trip_inputs, tmp_path, flags,
+                                                      fitted_on):
+    register, red = round_trip_inputs["compare"]
+    flags = [round_trip_inputs["model"] if f == "MODEL" else f for f in flags]
+    out = tmp_path / "cmp"
+    assert main(["compare", register, red, *flags, "--out", str(out)]) == 0
+    _, _, counters = read_register_csv(register)
+    series = np.diff(counters).astype(np.float64)
+    saved = json.loads(Path(round_trip_inputs["model"]).read_text())["epsilon"]
+    for r, window in enumerate(json.loads((out / "report.json").read_text())["windows"]):
+        train = {"window": series[64 * r : 64 * (r + 1)], "prefix": series[:128]}.get(fitted_on)
+        expected = saved if train is None else calibrate(fit(train), train, 0.01).epsilon
+        assert window["epsilon"] == expected
 
 
 def _run_cli(args, cwd):

@@ -1,9 +1,12 @@
 """The numerical and pipeline modules never import the file formats or the CLI,
-and no module imports a name it does not read.
+no module imports a name it does not read, and only the format readers and
+writers open files.
 
 Formats and the CLI sit on top: they read and write what the modules below
 compute.  An import the other way round couples the kernels to a file layout.
-An import nothing reads is left over from a deletion.
+An import nothing reads is left over from a deletion.  Every file is opened by
+formats or, for scenario files, by scenario, so that each on-disk layout is
+written in one place; the CLI passes paths and documents along.
 """
 
 import ast
@@ -85,3 +88,37 @@ def test_unused_imports_finds_only_unread_names():
 )
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+OPENERS = ("formats", "scenario")
+
+
+def calls_open(source: str) -> bool:
+    """Whether the source calls open, by name or as an attribute such as
+    ``io.open`` or ``path.open``."""
+    return any(
+        isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == "open"
+             or isinstance(node.func, ast.Attribute) and node.func.attr == "open")
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_calls_open_finds_every_form():
+    for source in ("with open(p) as fh:\n    pass\n", "import io\nio.open(p)\n",
+                   "def f(path):\n    return path.open('w')\n"):
+        assert calls_open(source), source
+    assert not calls_open("opener = open\nreopen(p)\nx.opened()\nopen_files = []\n")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.stem not in OPENERS),
+    ids=lambda p: p.stem,
+)
+def test_only_formats_and_scenario_open_files(path):
+    assert not calls_open(path.read_text(encoding="utf-8"))
+
+
+def test_cli_does_not_import_json():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "json" not in set(imported_modules(source))

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from regwave.errors import AlignmentError, InsufficientDataError
-from regwave.pipeline import (
-    compare_windows,
-    fit_series_model,
-    reduce_series,
-)
+from regwave.gaussian import calibrate, fit
+from regwave.pipeline import compare_windows, reduce_series
 from regwave.reducer import ReductionPolicy, decompose
 from regwave.wavelets import energy, make_filter_pair
 
@@ -77,7 +74,8 @@ def test_shared_model_scores_both_series():
     series = np.concatenate([train, window])
     fp = make_filter_pair("db2")
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
-    comp = compare_windows(series, registers, fp, train=512, quantile=0.002)
+    model = calibrate(fit(train), train, quantile=0.002)
+    comp = compare_windows(series, registers, fp, model=model)
     target = comp.reports[2]
     expected = set(range(70, 110))
     assert expected <= set(target.flags_original)
@@ -92,19 +90,13 @@ def test_explicit_model_argument_wins():
     series = rng.normal(size=256)
     fp = make_filter_pair("haar")
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
-    model = fit_series_model(rng.normal(size=400), quantile=0.05)
+    train = rng.normal(size=400)
+    model = calibrate(fit(train), train, quantile=0.05)
     assert compare_windows(series, registers, fp, model=model).epsilon.tolist() == [
         model.epsilon
     ]
-
-
-def test_training_prefix_validation():
-    fp = make_filter_pair("haar")
-    series = np.ones(64)
-    registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 64)
-    for train in (0, 1, 65):
-        with pytest.raises(InsufficientDataError, match=r"must lie in \[2, 64\]"):
-            compare_windows(series, registers, fp, train=train)
+    with pytest.raises(InsufficientDataError, match="model file carries no epsilon"):
+        compare_windows(series, registers, fp, model=fit(train))
 
 
 def test_window_beyond_series_is_an_alignment_error():

@@ -363,6 +363,12 @@ def test_poll_refuses_non_finite_time(interval, duration):
         poll([make_switch("a")], interval=interval, duration=duration)
 
 
+@pytest.mark.parametrize("dt", (float("nan"), float("inf")))
+def test_run_refuses_a_non_finite_dt(dt):
+    with pytest.raises(InputError, match=f"dt must be positive and finite, got {dt}"):
+        SwitchSim("s1", {1: steady()}, seed=0).run(3, dt)
+
+
 @pytest.mark.parametrize("interval", (10.0, 0.1))
 def test_one_tick_run_k_times_equals_poll_over_k_ticks(interval):
     def build():
