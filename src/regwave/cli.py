@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, formats, gaussian, pipeline
-from .errors import ContractError, InputError
+from .errors import AlignmentError, ContractError, InputError
 from .reducer import ReductionPolicy, synthesize_windows
 # No verb calls the single-window form any more, but it stays importable under
 # this name: perfbench's tracer test patches and restores it here.
@@ -156,15 +156,7 @@ def cmd_reduce(args) -> int:
             file=sys.stderr,
         )
     formats.write_reduced_file(
-        args.out,
-        registers,
-        family=args.family,
-        window_size=args.window,
-        depth=args.depth,
-        min_energy_ratio=args.min_energy_ratio,
-        source=args.register,
-        total_samples=int(series.shape[0]),
-        dropped_samples=dropped,
+        args.out, registers, policy, source=args.register, total_samples=series.shape[0]
     )
     low, high = min(r.depth for r in registers), max(r.depth for r in registers)
     depth, kept = f"{low}", f"{args.window >> low}"
@@ -178,8 +170,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    meta, registers = formats.read_reduced_file(args.reduced)
-    rebuilt = synthesize_windows(registers, make_filter_pair(meta["family"]))
+    _, registers = formats.read_reduced_file(args.reduced)
+    rebuilt = synthesize_windows(registers)
     formats.write_series_csv(args.out, rebuilt.ravel(), label="synthesized")
     print(f"synthesized {len(registers)} window(s), {rebuilt.size} samples, in {args.out}")
     return EXIT_OK
@@ -246,9 +238,12 @@ def cmd_detect(args) -> int:
 def cmd_compare(args) -> int:
     series, model, quantile = _series_and_model(args, per_window=True)
     meta, registers = formats.read_reduced_file(args.reduced)
-    result = pipeline.compare_windows(
-        series, registers, make_filter_pair(meta["family"]), model=model, quantile=quantile
-    )
+    if meta["total_samples"] != series.shape[0]:
+        raise AlignmentError(
+            f"{args.register} holds {series.shape[0]} deltas, but {args.reduced} was "
+            f"reduced from {meta['total_samples']}"
+        )
+    result = pipeline.compare_windows(series, registers, model=model, quantile=quantile)
     os.makedirs(args.out, exist_ok=True)
     n = meta["window_size"]
     doc = {

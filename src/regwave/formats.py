@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .errors import InputError, ParseError
-from .reducer import ReducedRegister
+from .reducer import ReducedRegister, ReductionPolicy, family_and_length
 from .gaussian import GaussianModel
 from .wavelets import FAMILIES
 
@@ -269,24 +269,23 @@ def _series_rows(idx, values) -> str:
 def write_reduced_file(
     path,
     registers: list[ReducedRegister],
+    policy: ReductionPolicy,
     *,
-    family: str,
-    window_size: int,
-    depth: int,
-    min_energy_ratio: float,
     source: str,
     total_samples: int,
-    dropped_samples: int,
 ) -> None:
+    """Write the registers that policy made from total_samples deltas, with
+    the family and window size that they share (see family_and_length)."""
+    family, window_size = family_and_length(registers)
     doc = {
         "format": REDUCED_FORMAT,
         "family": family,
         "window_size": window_size,
-        "depth": depth,
-        "min_energy_ratio": min_energy_ratio,
+        "depth": policy.max_depth,
+        "min_energy_ratio": policy.min_energy_ratio,
         "source": source,
         "total_samples": total_samples,
-        "dropped_samples": dropped_samples,
+        "dropped_samples": total_samples - len(registers) * window_size,
         "windows": [
             {
                 "index": i,
@@ -315,21 +314,24 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedRegister]]:
 
     Raises:
         ParseError: unreadable file, unknown family, an envelope without
-            integer window_size and depth, a numeric min_energy_ratio and
-            an array of windows, or an entry that breaks the above, naming
-            its window.
+            integer window_size, depth and total_samples, a numeric
+            min_energy_ratio and an array of windows, or an entry that breaks
+            the above, naming its window.
     """
     doc, path = _read_json(path, REDUCED_FORMAT), str(path)
     family = doc.get("family")
     if family not in FAMILIES:
         raise ParseError(f"unsupported family {family!r}", path)
-    window_size, depth, floor = (
-        doc.get(key) for key in ("window_size", "depth", "min_energy_ratio")
+    window_size, depth, total, floor = (
+        doc.get(key)
+        for key in ("window_size", "depth", "total_samples", "min_energy_ratio")
     )
-    if not (_is_int(window_size) and _is_int(depth) and _is_number(floor)):
+    if not (_is_int(window_size) and _is_int(depth) and _is_int(total)
+            and _is_number(floor)):
         raise ParseError(
-            "envelope needs integer window_size and depth and a numeric "
-            f"min_energy_ratio, got {window_size!r}, {depth!r}, {floor!r}",
+            "envelope needs integer window_size and depth, an integer total_samples "
+            f"and a numeric min_energy_ratio, got {window_size!r}, {depth!r}, "
+            f"{total!r}, {floor!r}",
             path,
         )
     if type(doc.get("windows")) is not list:

@@ -24,7 +24,10 @@ from .reducer import (
     decompose_windows,
     synthesize_windows,
 )
-from .wavelets import FilterPair
+from .wavelets import FilterPair, energies
+
+# Largest relative gap between a window's energy and its register's ledger.
+LEDGER_RTOL = 1e-9
 
 
 def reduce_series(
@@ -87,7 +90,6 @@ def judge_windows(originals, synthesized, compression, mu, sigma2, epsilon):
 def compare_windows(
     values,
     registers: list[ReducedRegister],
-    filters: FilterPair,
     *,
     model: gaussian.GaussianModel | None = None,
     quantile: float = 0.01,
@@ -101,19 +103,25 @@ def compare_windows(
     of a window.  The windows, all of one length, are fitted, scored and
     reported as one batch.
 
+    The filter bank is orthonormal, so a window's energy equals its
+    register's level-1 ledger pair, ``kept + discarded``.  A window whose
+    energy differs from that sum by more than LEDGER_RTOL of the larger was
+    not reduced into its register, and is refused.
+
     Raises:
         InsufficientDataError: a model without epsilon.
-        LengthError: when the registers differ in length.
-        AlignmentError: when the windows need samples the series lacks.
+        LengthError, FamilyMismatchError: registers of mixed lengths or families.
+        AlignmentError: when the windows need samples the series lacks, or
+            a window's energy does not match its register's ledger.
     """
     x = np.asarray(values, dtype=np.float64)
     if model is not None and model.epsilon is None:
-        raise InsufficientDataError("model file carries no epsilon; refit or calibrate")
+        raise InsufficientDataError("model has no threshold; run calibrate() first")
     if not registers:
         empty = np.empty((0, 0))
         empty.setflags(write=False)
         return Comparison([], np.empty(0), empty, empty, empty, empty)
-    synthesized = synthesize_windows(registers, filters)
+    synthesized = synthesize_windows(registers)
     k, n = synthesized.shape
     if k * n > x.shape[0]:
         r = x.shape[0] // n
@@ -122,6 +130,13 @@ def compare_windows(
             f"{x.shape[0]} samples"
         )
     originals = x[: k * n].reshape(k, n).copy()
+    for r, (energy, reduced) in enumerate(zip(energies(originals).tolist(), registers)):
+        ledger = sum(reduced.sibling_energies[0])
+        if abs(energy - ledger) > LEDGER_RTOL * max(energy, ledger):
+            raise AlignmentError(
+                f"window {r} holds energy {energy!r}, but register {r}'s ledger holds "
+                f"{ledger!r}: it was not reduced from this series"
+            )
     if model is None:
         mu, sigma2, epsilon = fit_row_models(originals, quantile)
     else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FamilyMismatchError, LengthError, PolicyError
-from .wavelets import FilterPair, analysis_step, energies, synthesis_step
+from .wavelets import FilterPair, analysis_step, energies, make_filter_pair, synthesis_step
 
 
 @dataclass(frozen=True)
@@ -167,32 +167,43 @@ def decompose_windows(
     ]
 
 
-def synthesize(reduced: ReducedRegister, filters: FilterPair) -> np.ndarray:
-    """Rebuild one full-length window; see synthesize_windows."""
-    return synthesize_windows([reduced], filters)[0]
-
-
-def synthesize_windows(registers, filters: FilterPair) -> np.ndarray:
-    """Rebuild full-length windows from their kept branches, in input order.
-
-    Discarded siblings enter as zero blocks, so each window is the orthogonal
-    projection of its original window onto the kept branch's subspace.  All
-    registers must rebuild one length n.  The registers of each depth are
-    rebuilt as one group, level by level, and written back to their rows of
-    a ``(windows, n)`` matrix; rows do not mix, so a register rebuilds the
-    same bits in any group.  No registers give a ``(0, 0)`` matrix.
-    """
-    for reduced in registers:
-        if filters.family != reduced.family:
-            raise FamilyMismatchError(
-                f"register was reduced with {reduced.family!r}, not {filters.family!r}"
-            )
+def family_and_length(registers) -> tuple[str, int]:
+    """The family and original_length that a non-empty list of registers
+    shares: FamilyMismatchError or LengthError otherwise."""
+    if not registers:
+        raise LengthError("no registers")
+    families = sorted({reduced.family for reduced in registers})
+    if len(families) > 1:
+        raise FamilyMismatchError(
+            f"registers were reduced with different families {families}"
+        )
     lengths = sorted({reduced.original_length for reduced in registers})
     if len(lengths) > 1:
         raise LengthError(f"registers rebuild different lengths {lengths}")
+    return families[0], lengths[0]
+
+
+def synthesize(reduced: ReducedRegister) -> np.ndarray:
+    """Rebuild one full-length window; see synthesize_windows."""
+    return synthesize_windows([reduced])[0]
+
+
+def synthesize_windows(registers) -> np.ndarray:
+    """Rebuild full-length windows from their kept branches, in input order.
+
+    Discarded siblings enter as zero blocks, so each window is the orthogonal
+    projection of its original window onto the kept branch's subspace.  The
+    registers share one family, whose filter bank rebuilds them, and one
+    length n.  The registers of each depth are rebuilt as one group, level by
+    level, and written back to their rows of a ``(windows, n)`` matrix; rows
+    do not mix, so a register rebuilds the same bits in any group.  No
+    registers give a ``(0, 0)`` matrix.
+    """
     if not registers:
         return np.empty((0, 0))
-    out = np.empty((len(registers), lengths[0]))
+    family, n = family_and_length(registers)
+    filters = make_filter_pair(family)
+    out = np.empty((len(registers), n))
     for depth in {reduced.depth for reduced in registers}:
         rows = [r for r, reduced in enumerate(registers) if reduced.depth == depth]
         group = [registers[r] for r in rows]

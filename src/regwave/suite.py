@@ -160,7 +160,7 @@ def run_case(case: PreservationCase) -> CaseResult:
     mu, sigma2, epsilon = fit_row_models(series[:, :TRAIN_SAMPLES], QUANTILE)
     reports, _, _ = judge_windows(
         originals,
-        synthesize_windows(registers, filters),
+        synthesize_windows(registers),
         [compression_ratio(r) for r in registers],
         mu,
         sigma2,

@@ -28,6 +28,10 @@ from .errors import (
 # Nominal frame size tying packet counters to byte counters.
 FRAME_BYTES = 1000
 
+# Most ticks one poll simulates.  A tick costs about 110 B per port at peak,
+# so the limit is about 0.1 GB per port: 116 days at 10 s polling.
+MAX_TICKS = 1_000_000
+
 COUNTER_FIELDS = (
     "rx_packets",
     "tx_packets",
@@ -334,7 +338,8 @@ def poll(switches, *, interval: float, duration: float) -> RegisterStore:
 
     Args:
         interval: polling cadence in simulated seconds.
-        duration: total simulated time; must be a whole number of intervals.
+        duration: total simulated time; must be a whole number of intervals,
+            and at most MAX_TICKS (10**6) of them.
 
     Returns:
         The filled RegisterStore; duration 0 yields an empty one.
@@ -346,6 +351,11 @@ def poll(switches, *, interval: float, duration: float) -> RegisterStore:
     if duration / interval == math.inf:
         raise InputError(f"duration / interval overflows: {duration} / {interval}")
     n_ticks = round(duration / interval)
+    if n_ticks > MAX_TICKS:
+        raise InputError(
+            f"duration / interval is {duration / interval:.6g} ticks, more than "
+            f"the {MAX_TICKS} a poll may simulate"
+        )
     if abs(n_ticks * interval - duration) > 1e-9 * max(1.0, interval):
         raise InputError(
             f"duration {duration} is not a multiple of the interval {interval}"

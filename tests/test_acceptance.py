@@ -121,7 +121,7 @@ def test_criterion_4_energy_ledger_property():
         fits = int(np.log2(signal.shape[0] // len(filters))) + 1
         depth = min(3, fits)
         reduced = decompose(signal, filters, ReductionPolicy(max_depth=depth))
-        residual = signal - synthesize(reduced, filters)
+        residual = signal - synthesize(reduced)
         worst_ledger = max(
             worst_ledger, abs(energy(residual) - reduced.discarded_energy())
         )

@@ -57,7 +57,7 @@ def ref_report(compression, original, synthesized, probs_o, probs_s, eps):
     )
 
 
-def ref_compare(values, registers, filters, *, model=None, train=None, quantile=0.01):
+def ref_compare(values, registers, *, model=None, train=None, quantile=0.01):
     """One window at a time: (epsilon, probs_o, probs_s, report) per window."""
     x = np.asarray(values, dtype=np.float64)
     shared = None
@@ -69,7 +69,7 @@ def ref_compare(values, registers, filters, *, model=None, train=None, quantile=
     for r, register in enumerate(registers):
         n = register.original_length
         original = x[r * n : (r + 1) * n]
-        synthesized = synthesize(register, filters)
+        synthesized = synthesize(register)
         mu, sigma2, eps = shared or ref_model(original, quantile)
         probs_o = ref_probabilities(mu, sigma2, original)
         probs_s = ref_probabilities(mu, sigma2, synthesized)
@@ -109,7 +109,7 @@ def prefix_model(train, quantile):
     return calibrate(fit(train), train, quantile)
 
 
-def _compare_both(series, registers, filters, source, quantile, rng):
+def _compare_both(series, registers, source, quantile, rng):
     kwargs = {"quantile": quantile}
     ref_kwargs = dict(kwargs)
     if source == "model":
@@ -119,8 +119,8 @@ def _compare_both(series, registers, filters, source, quantile, rng):
         ref_kwargs["train"] = train = max(2, series.shape[0] // 2)
         kwargs["model"] = prefix_model(series[:train], quantile)
     return (
-        compare_windows(series, registers, filters, **kwargs),
-        ref_compare(series, registers, filters, **ref_kwargs),
+        compare_windows(series, registers, **kwargs),
+        ref_compare(series, registers, **ref_kwargs),
     )
 
 
@@ -136,7 +136,7 @@ def test_batched_compare_equals_the_per_window_reference(rows, n, source):
     depth = 1 if n < 8 else 2
     registers, _ = reduce_series(series, filters, ReductionPolicy(max_depth=depth), n)
     assert len(registers) == rows
-    comp, reference = _compare_both(series, registers, filters, source, 0.05, rng)
+    comp, reference = _compare_both(series, registers, source, 0.05, rng)
     assert_same(comp, reference)
     # The originals are the series' windows, copied out of it.
     assert np.array_equal(comp.original, series[: rows * n].reshape(rows, n))
@@ -160,7 +160,7 @@ def test_all_zero_window_raises_as_before(source):
     for compare, args in ((compare_windows, kwargs), (ref_compare, ref_kwargs)):
         with pytest.raises(UndefinedMetricError,
                            match="prd is undefined for an all-zero reference"):
-            compare(series, registers, filters, **args)
+            compare(series, registers, **args)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 37])
@@ -191,7 +191,7 @@ def ref_run_case(case):
         series = deltas(store.counter_series("s1", 1, field))
         registers, _ = reduce_series(series, filters, policy, suite.WINDOW)
         reference = ref_compare(
-            series, registers, filters, train=suite.TRAIN_SAMPLES, quantile=suite.QUANTILE
+            series, registers, train=suite.TRAIN_SAMPLES, quantile=suite.QUANTILE
         )
         reports[field] = reference[suite.TRAIN_SAMPLES // suite.WINDOW][3]
     return reports

@@ -15,6 +15,7 @@ import regwave
 from regwave.cli import build_parser, main
 from regwave.formats import read_register_csv
 from regwave.gaussian import calibrate, fit
+from regwave.telemetry import SwitchSim
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -519,6 +520,57 @@ def test_misaligned_compare_exits_three(video_sim, tmp_path):
     short.write_text("\n".join(lines) + "\n")
     rc = main(["compare", str(short), str(red), "--out", str(tmp_path / "c")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("register", ("s1_p2_tx_bytes.csv", "s1_p1_rx_bytes.csv"))
+def test_compare_refuses_a_register_the_file_was_not_reduced_from(video_sim, tmp_path,
+                                                                  capsys, register):
+    red = tmp_path / "red.json"
+    assert main(
+        ["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "64",
+         "--out", str(red)]
+    ) == 0
+    capsys.readouterr()
+    out = tmp_path / "c"
+    assert main(["compare", str(video_sim / register), str(red), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: window 0 holds energy ")
+    assert err.endswith(": it was not reduced from this series\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_compare_refuses_a_register_longer_than_the_one_reduced(video_sim, tmp_path,
+                                                                capsys):
+    # The appended rows leave every reduced window as it was.
+    register = video_sim / "s1_p1_tx_bytes.csv"
+    red = tmp_path / "red.json"
+    assert main(["reduce", str(register), "--window", "64", "--out", str(red)]) == 0
+    longer = tmp_path / "longer.csv"
+    value = int(register.read_text().splitlines()[-1].split(",")[2])
+    longer.write_text(register.read_text() + "".join(
+        f"{tick},{tick * 10}.0,{value + tick}\n" for tick in range(253, 258)
+    ))
+    capsys.readouterr()
+    out = tmp_path / "c"
+    assert main(["compare", str(longer), str(red), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {longer} holds 256 deltas, but {red} was reduced from 251\n"
+    )
+    assert not out.exists()
+
+
+def test_simulate_refuses_more_ticks_than_a_poll_may_simulate(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(SwitchSim, "run", lambda *args: pytest.fail("run was called"))
+    out = tmp_path / "out"
+    with importlib.resources.as_file(bundled("video-42min.scn")) as scn:
+        assert main(["simulate", str(scn), "--interval", "1e-300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: duration / interval is 2.52e+303 ticks, more than the 1000000 a poll "
+        "may simulate\n"
+    )
+    assert not out.exists()
 
 
 def test_conflicting_window_flag_exits_two(video_sim, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regwave import formats
-from regwave.errors import ParseError
+from regwave.errors import FamilyMismatchError, LengthError, ParseError
 from regwave.formats import (
     SERIES_CHUNK_ROWS,
     export_store,
@@ -17,7 +17,7 @@ from regwave.formats import (
     write_series_csv,
 )
 from regwave.gaussian import GaussianModel
-from regwave.reducer import ReductionPolicy, decompose
+from regwave.reducer import ReductionPolicy, decompose, decompose_windows
 from regwave.telemetry import (
     COUNTER_FIELDS,
     RegisterStore,
@@ -56,25 +56,20 @@ def test_register_csv_row_errors_carry_line_numbers(tmp_path):
     assert err.value.line == 3
 
 
+SAMPLE_POLICY = ReductionPolicy(max_depth=2)
+
+
 def _sample_registers():
     fp = make_filter_pair("db2")
     rng = np.random.default_rng(2)
-    return [decompose(rng.normal(size=64), fp, ReductionPolicy(max_depth=2)) for _ in range(3)]
+    return [decompose(rng.normal(size=64), fp, SAMPLE_POLICY) for _ in range(3)]
 
 
 def test_reduced_file_round_trip_is_exact(tmp_path):
     path = tmp_path / "red.json"
     registers = _sample_registers()
     write_reduced_file(
-        path,
-        registers,
-        family="db2",
-        window_size=64,
-        depth=2,
-        min_energy_ratio=0.0,
-        source="series.csv",
-        total_samples=200,
-        dropped_samples=8,
+        path, registers, SAMPLE_POLICY, source="series.csv", total_samples=200
     )
     meta, loaded = read_reduced_file(path)
     assert meta["window_size"] == 64
@@ -86,19 +81,29 @@ def test_reduced_file_round_trip_is_exact(tmp_path):
         assert round_tripped.sibling_energies == original.sibling_energies
 
 
+def test_reduced_file_envelope_comes_from_the_registers_and_the_policy(tmp_path):
+    path = tmp_path / "red.json"
+    policy = ReductionPolicy(max_depth=3, min_energy_ratio=0.75)
+    x = np.random.default_rng(5).normal(size=(5, 32))
+    registers = decompose_windows(x, make_filter_pair("db3"), policy)
+    write_reduced_file(path, registers, policy, source="series.csv", total_samples=171)
+    meta, loaded = read_reduced_file(path)
+    assert (meta["family"], meta["window_size"]) == ("db3", 32)
+    assert (meta["depth"], meta["min_energy_ratio"]) == (3, 0.75)
+    assert (meta["total_samples"], meta["dropped_samples"]) == (171, 11)
+    assert [r.path for r in loaded] == [r.path for r in registers]
+    with pytest.raises(LengthError, match="no registers"):
+        write_reduced_file(path, [], policy, source="series.csv", total_samples=0)
+    mixed = [*registers, decompose(x[0], make_filter_pair("haar"), policy)]
+    with pytest.raises(FamilyMismatchError):
+        write_reduced_file(path, mixed, policy, source="series.csv", total_samples=192)
+
+
 def test_window_start_follows_from_its_index(tmp_path):
     path = tmp_path / "red.json"
     register = decompose(np.ones(4), make_filter_pair("haar"), ReductionPolicy())
     write_reduced_file(
-        path,
-        [register] * 3,
-        family="haar",
-        window_size=4,
-        depth=1,
-        min_energy_ratio=0.0,
-        source="series.csv",
-        total_samples=12,
-        dropped_samples=0,
+        path, [register] * 3, ReductionPolicy(), source="series.csv", total_samples=12
     )
     doc = json.loads(path.read_text())
     assert [(w["index"], w["start"]) for w in doc["windows"]] == [(0, 0), (1, 4), (2, 8)]
@@ -119,15 +124,7 @@ def test_reduced_file_rejects_inconsistent_entries(tmp_path):
     path = tmp_path / "red.json"
     registers = _sample_registers()
     write_reduced_file(
-        path,
-        registers,
-        family="db2",
-        window_size=64,
-        depth=2,
-        min_energy_ratio=0.0,
-        source="series.csv",
-        total_samples=192,
-        dropped_samples=0,
+        path, registers, SAMPLE_POLICY, source="series.csv", total_samples=192
     )
     doc = json.loads(path.read_text())
     doc["windows"][0]["coefficients"] = doc["windows"][0]["coefficients"][:-1]
@@ -141,7 +138,8 @@ def test_reduced_file_rejects_inconsistent_entries(tmp_path):
         read_reduced_file(path)
     doc["windows"][0]["path"] = "LL"
     for key, value in (("window_size", None), ("window_size", "64"), ("depth", 2.0),
-                       ("depth", True), ("min_energy_ratio", None),
+                       ("depth", True), ("total_samples", None),
+                       ("total_samples", "192"), ("min_energy_ratio", None),
                        ("min_energy_ratio", "0"), ("min_energy_ratio", False)):
         path.write_text(json.dumps({**doc, key: value}))
         with pytest.raises(ParseError, match="envelope needs integer window_size"):
@@ -160,15 +158,7 @@ def test_reduced_file_rejects_inconsistent_entries(tmp_path):
 def test_reduced_file_rejects_non_finite_numbers(tmp_path, key, position, value):
     path = tmp_path / "red.json"
     write_reduced_file(
-        path,
-        _sample_registers(),
-        family="db2",
-        window_size=64,
-        depth=2,
-        min_energy_ratio=0.0,
-        source="series.csv",
-        total_samples=192,
-        dropped_samples=0,
+        path, _sample_registers(), SAMPLE_POLICY, source="series.csv", total_samples=192
     )
     doc = json.loads(path.read_text())
     entry = doc["windows"][1][key]

@@ -47,7 +47,7 @@ def test_lossless_window_compares_clean():
     fp = make_filter_pair("haar")
     series = np.full(64, 100.0)
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 64)
-    [report] = compare_windows(series, registers, fp, quantile=0.01).reports
+    [report] = compare_windows(series, registers, quantile=0.01).reports
     # A constant register is pure approximation; only rounding survives.
     assert report.rmse <= 1e-9
     assert report.prd <= 1e-9
@@ -60,7 +60,7 @@ def test_white_noise_error_energy_matches_discarded():
     rng = np.random.default_rng(44)
     series = rng.normal(size=256)
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
-    comp = compare_windows(series, registers, fp)
+    comp = compare_windows(series, registers)
     residual = comp.reports[0].rmse**2 * 256
     assert abs(residual - registers[0].discarded_energy()) <= 1e-9
     assert abs(residual - energy(series - comp.synthesized[0])) <= 1e-9
@@ -75,7 +75,7 @@ def test_shared_model_scores_both_series():
     fp = make_filter_pair("db2")
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
     model = calibrate(fit(train), train, quantile=0.002)
-    comp = compare_windows(series, registers, fp, model=model)
+    comp = compare_windows(series, registers, model=model)
     target = comp.reports[2]
     expected = set(range(70, 110))
     assert expected <= set(target.flags_original)
@@ -92,11 +92,11 @@ def test_explicit_model_argument_wins():
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
     train = rng.normal(size=400)
     model = calibrate(fit(train), train, quantile=0.05)
-    assert compare_windows(series, registers, fp, model=model).epsilon.tolist() == [
+    assert compare_windows(series, registers, model=model).epsilon.tolist() == [
         model.epsilon
     ]
-    with pytest.raises(InsufficientDataError, match="model file carries no epsilon"):
-        compare_windows(series, registers, fp, model=fit(train))
+    with pytest.raises(InsufficientDataError, match="model has no threshold"):
+        compare_windows(series, registers, model=fit(train))
 
 
 def test_window_beyond_series_is_an_alignment_error():
@@ -104,6 +104,18 @@ def test_window_beyond_series_is_an_alignment_error():
     series = np.ones(384)
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 128)
     with pytest.raises(AlignmentError, match=r"window 0 spans \[0, 128\)"):
-        compare_windows(series[:100], registers[:1], fp)
+        compare_windows(series[:100], registers[:1])
     with pytest.raises(AlignmentError, match=r"window 2 spans \[256, 384\) .* 383 samples"):
-        compare_windows(series[:383], registers, fp)
+        compare_windows(series[:383], registers)
+
+
+def test_window_not_reduced_into_its_register_is_an_alignment_error():
+    fp = make_filter_pair("db2")
+    series = np.random.default_rng(17).normal(size=3 * 64)
+    registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=2), 64)
+    other = series.copy()
+    other[64:] *= 1.0 + 1e-8  # window energies grow by 2e-8 relative
+    with pytest.raises(AlignmentError, match=r"window 1 holds energy .*: it was not reduced"):
+        compare_windows(other, registers)
+    other[64:] = series[64:] * (1.0 + 1e-11)  # within LEDGER_RTOL
+    assert len(compare_windows(other, registers).reports) == 3

@@ -43,7 +43,7 @@ def test_constant_signal_rides_the_approximation_chain():
     assert np.allclose(red.coeffs, [5.0 * 2 ** 1.5], atol=1e-12)
     # Detail energy of a constant is zero up to fused-multiply rounding.
     assert all(discarded <= 1e-20 for _, discarded in red.sibling_energies)
-    assert np.allclose(synthesize(red, fp), [5.0] * 8, atol=1e-9)
+    assert np.allclose(synthesize(red), [5.0] * 8, atol=1e-9)
 
 
 def _hand_built(**changes):
@@ -58,8 +58,7 @@ def _hand_built(**changes):
 
 
 def test_hand_built_register_synthesizes_to_constant():
-    fp = make_filter_pair("haar")
-    assert np.allclose(synthesize(_hand_built(), fp), [1, 1, 1, 1], atol=1e-12)
+    assert np.allclose(synthesize(_hand_built()), [1, 1, 1, 1], atol=1e-12)
 
 
 INVALID_REGISTERS = {
@@ -104,7 +103,7 @@ def test_ledger_winner_and_error_identity(family, depth):
             assert kept >= discarded
             assert abs(kept + discarded - parent) <= 1e-9
             parent = kept
-        err = energy(x - synthesize(red, fp))
+        err = energy(x - synthesize(red))
         assert abs(err - red.discarded_energy()) <= 1e-9
 
 
@@ -121,7 +120,7 @@ def test_depth_one_synthesis_equals_zeroed_detail_synthesis():
         direct = synthesis_step(approx, np.zeros_like(detail), fp)
     else:
         direct = synthesis_step(np.zeros_like(approx), detail, fp)
-    assert np.allclose(synthesize(red, fp), direct, atol=1e-12)
+    assert np.allclose(synthesize(red), direct, atol=1e-12)
 
 
 def test_smooth_register_rmse_matches_discarded_energy():
@@ -129,7 +128,7 @@ def test_smooth_register_rmse_matches_discarded_energy():
     rng = np.random.default_rng(9)
     x = np.cumsum(rng.normal(size=256))
     red = decompose(x, fp, ReductionPolicy(max_depth=1))
-    rebuilt = synthesize(red, fp)
+    rebuilt = synthesize(red)
     rmse = math.sqrt(float(np.mean((x - rebuilt) ** 2)))
     assert abs(rmse - math.sqrt(red.discarded_energy() / 256)) <= 1e-9
 
@@ -187,11 +186,11 @@ def test_policy_validation():
         ReductionPolicy(max_depth=1, min_energy_ratio=1.5)
 
 
-def test_family_mismatch_refused_at_synthesis():
-    fp = make_filter_pair("haar")
-    red = decompose(np.ones(8), fp, ReductionPolicy(max_depth=1))
-    with pytest.raises(FamilyMismatchError):
-        synthesize(red, make_filter_pair("db2"))
+def test_synthesize_windows_refuses_two_families():
+    x = np.ones(8)
+    reduced = [decompose(x, make_filter_pair(f), ReductionPolicy()) for f in ("db2", "haar")]
+    with pytest.raises(FamilyMismatchError, match=r"\['db2', 'haar'\]"):
+        synthesize_windows(reduced)
 
 
 def _lone_split(x, taps):
@@ -251,7 +250,7 @@ def test_batched_reduction_equals_lone_windows_bit_for_bit(family, depth, floor,
     fp = make_filter_pair(family)
     x = _mixed_windows(rows, 256, depth * 10 + rows)
     reduced = decompose_windows(x, fp, ReductionPolicy(max_depth=depth, min_energy_ratio=floor))
-    rebuilt = synthesize_windows(reduced, fp)
+    rebuilt = synthesize_windows(reduced)
     assert [window.shape for window in rebuilt] == [x.shape[1:]] * rows
     for r, red in enumerate(reduced):
         path, coeffs, ledger = _lone_decompose(x[r], fp, depth, floor)
@@ -259,7 +258,7 @@ def test_batched_reduction_equals_lone_windows_bit_for_bit(family, depth, floor,
         assert red.coeffs.tobytes() == coeffs.tobytes()
         assert not red.coeffs.flags.writeable
         assert rebuilt[r].tobytes() == _lone_synthesize(path, coeffs, fp).tobytes()
-        assert synthesize(red, fp).tobytes() == rebuilt[r].tobytes()
+        assert synthesize(red).tobytes() == rebuilt[r].tobytes()
     assert not np.signbit(rebuilt[0]).any()
     if rows > 1 and depth > 1:
         assert len({red.path for red in reduced}) > 1
@@ -305,11 +304,11 @@ def test_synthesize_windows_rebuilds_mixed_depths_in_input_order():
         decompose(rng.normal(size=32), fp, ReductionPolicy(max_depth=depth))
         for depth in (1, 3, 2, 1, 3)
     ]
-    rebuilt = synthesize_windows(reduced, fp)
+    rebuilt = synthesize_windows(reduced)
     assert rebuilt.shape == (5, 32)
     for red, window in zip(reduced, rebuilt):
         assert window.tobytes() == _lone_synthesize(red.path, red.coeffs, fp).tobytes()
-    assert synthesize_windows([], fp).shape == (0, 0)
+    assert synthesize_windows([]).shape == (0, 0)
 
 
 def test_synthesize_windows_refuses_two_lengths():
@@ -318,4 +317,4 @@ def test_synthesize_windows_refuses_two_lengths():
         decompose(np.ones(n), fp, ReductionPolicy(max_depth=1)) for n in (16, 32, 16)
     ]
     with pytest.raises(LengthError, match=r"\[16, 32\]"):
-        synthesize_windows(reduced, fp)
+        synthesize_windows(reduced)

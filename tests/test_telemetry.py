@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regwave import telemetry
 from regwave.errors import (
     DataError,
     InputError,
@@ -367,6 +368,15 @@ def test_poll_refuses_non_finite_time(interval, duration):
 def test_run_refuses_a_non_finite_dt(dt):
     with pytest.raises(InputError, match=f"dt must be positive and finite, got {dt}"):
         SwitchSim("s1", {1: steady()}, seed=0).run(3, dt)
+
+
+def test_poll_refuses_more_than_max_ticks_before_running(monkeypatch):
+    monkeypatch.setattr(telemetry, "MAX_TICKS", 5)
+    sw = SwitchSim("s1", {1: steady()}, seed=0)
+    assert poll([sw], interval=10.0, duration=50.0).timestamps("s1", 1).shape == (5,)
+    monkeypatch.setattr(SwitchSim, "run", lambda *args: pytest.fail("run was called"))
+    with pytest.raises(InputError, match="is 6 ticks, more than the 5 a poll may simulate"):
+        poll([sw], interval=10.0, duration=60.0)
 
 
 @pytest.mark.parametrize("interval", (10.0, 0.1))
