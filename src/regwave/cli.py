@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, formats, gaussian, pipeline
 from .errors import AlignmentError, ContractError, InputError
-from .reducer import ReductionPolicy, synthesize_windows
+from .reducer import ReductionPolicy, family_and_length, synthesize_windows
 # No verb calls the single-window form any more, but it stays importable under
 # this name: perfbench's tracer test patches and restores it here.
 from .reducer import synthesize as synthesize_register  # noqa: F401
@@ -170,7 +170,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    _, registers = formats.read_reduced_file(args.reduced)
+    registers, _, _ = formats.read_reduced_file(args.reduced)
     rebuilt = synthesize_windows(registers)
     formats.write_series_csv(args.out, rebuilt.ravel(), label="synthesized")
     print(f"synthesized {len(registers)} window(s), {rebuilt.size} samples, in {args.out}")
@@ -184,19 +184,16 @@ def _series_and_model(
     them, and the quantile of its threshold.
 
     A saved --model fixes its own threshold, so --train and --quantile are
-    refused next to it before any file is read, and a model without one is
-    refused.  Otherwise the model is fitted and calibrated on the first
-    --train deltas, a prefix in [2, N]; without --train it is fitted on the
-    whole series, or, with per_window, left None: each window is then scored
-    by a fit on its own samples.
+    refused next to it before any file is read.  Otherwise the model is
+    fitted and calibrated on the first --train deltas, a prefix in [2, N];
+    without --train it is fitted on the whole series, or, with per_window,
+    left None: each window is then scored by a fit on its own samples.
     """
     if args.model is not None:
         for flag in ("train", "quantile"):
             if getattr(args, flag) is not None:
                 raise InputError(f"--{flag} cannot be combined with --model")
-        model, _ = formats.read_model_file(args.model)
-        if model.epsilon is None:
-            raise InputError(f"model {args.model} carries no epsilon")
+        model = formats.read_model_file(args.model)
         return _deltas(args.register), model, model.quantile
     quantile = 0.01 if args.quantile is None else args.quantile
     series = _deltas(args.register)
@@ -237,21 +234,21 @@ def cmd_detect(args) -> int:
 
 def cmd_compare(args) -> int:
     series, model, quantile = _series_and_model(args, per_window=True)
-    meta, registers = formats.read_reduced_file(args.reduced)
-    if meta["total_samples"] != series.shape[0]:
+    registers, policy, total_samples = formats.read_reduced_file(args.reduced)
+    if total_samples != series.shape[0]:
         raise AlignmentError(
             f"{args.register} holds {series.shape[0]} deltas, but {args.reduced} was "
-            f"reduced from {meta['total_samples']}"
+            f"reduced from {total_samples}"
         )
     result = pipeline.compare_windows(series, registers, model=model, quantile=quantile)
     os.makedirs(args.out, exist_ok=True)
-    n = meta["window_size"]
+    family, n = family_and_length(registers)
     doc = {
         "source": args.register,
         "reduced": args.reduced,
-        "family": meta["family"],
+        "family": family,
         "window_size": n,
-        "depth": meta["depth"],
+        "depth": policy.max_depth,
         "quantile": quantile,
         "windows": [],
     }

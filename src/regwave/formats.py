@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, PolicyError
 from .reducer import ReducedRegister, ReductionPolicy, family_and_length
 from .gaussian import GaussianModel
 from .wavelets import FAMILIES
@@ -301,9 +301,9 @@ def write_reduced_file(
     write_json(path, doc)
 
 
-def read_reduced_file(path) -> tuple[dict, list[ReducedRegister]]:
-    """Read a reduced-register file; returns its envelope and one register
-    per window, window r at entry r.
+def read_reduced_file(path) -> tuple[list[ReducedRegister], ReductionPolicy, int]:
+    """Read a reduced-register file; returns what write_reduced_file took:
+    the registers, window r at entry r, their policy and total_samples.
 
     Entry i must have index i, so windows are listed in order without gaps
     or repeats.  Each entry must hold fields of the JSON types README gives,
@@ -314,28 +314,36 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedRegister]]:
 
     Raises:
         ParseError: unreadable file, unknown family, an envelope without
-            integer window_size, depth and total_samples, a numeric
-            min_energy_ratio and an array of windows, or an entry that breaks
+            integer window_size, depth, total_samples and dropped_samples, a
+            string source, a depth and min_energy_ratio that make a
+            ReductionPolicy and a non-empty array of windows, a
+            dropped_samples that is not ``total_samples - len(windows) *
+            window_size`` in ``[0, window_size)``, or an entry that breaks
             the above, naming its window.
     """
     doc, path = _read_json(path, REDUCED_FORMAT), str(path)
     family = doc.get("family")
     if family not in FAMILIES:
         raise ParseError(f"unsupported family {family!r}", path)
-    window_size, depth, total, floor = (
-        doc.get(key)
-        for key in ("window_size", "depth", "total_samples", "min_energy_ratio")
-    )
-    if not (_is_int(window_size) and _is_int(depth) and _is_int(total)
-            and _is_number(floor)):
+    window_size, depth, total, dropped, floor, source = (doc.get(key) for key in (
+        "window_size", "depth", "total_samples", "dropped_samples", "min_energy_ratio",
+        "source"))
+    if not (all(map(_is_int, (window_size, depth, total, dropped)))
+            and _is_number(floor) and type(source) is str):
         raise ParseError(
-            "envelope needs integer window_size and depth, an integer total_samples "
-            f"and a numeric min_energy_ratio, got {window_size!r}, {depth!r}, "
-            f"{total!r}, {floor!r}",
+            "envelope needs integer window_size and depth, integer total_samples and "
+            "dropped_samples, a numeric min_energy_ratio and a string source, got "
+            f"{window_size!r}, {depth!r}, {total!r}, {dropped!r}, {floor!r}, {source!r}",
             path,
         )
+    try:
+        policy = ReductionPolicy(max_depth=depth, min_energy_ratio=floor)
+    except PolicyError as exc:
+        raise ParseError(str(exc), path) from None
     if type(doc.get("windows")) is not list:
         raise ParseError("windows must be an array", path)
+    if not doc["windows"]:
+        raise ParseError("windows is empty, and reduce writes at least one", path)
     registers = []
     for i, entry in enumerate(doc["windows"]):
         try:
@@ -377,7 +385,11 @@ def read_reduced_file(path) -> tuple[dict, list[ReducedRegister]]:
                 f"window {i}: depth {register.depth} is not the file's depth {depth}", path
             )
         registers.append(register)
-    return doc, registers
+    if dropped != total - len(registers) * window_size or not 0 <= dropped < window_size:
+        raise ParseError(f"dropped_samples {dropped} must equal total_samples {total} - "
+                         f"{len(registers)} windows * {window_size} and lie in "
+                         f"[0, {window_size})", path)
+    return registers, policy, total
 
 
 def write_model_file(path, model: GaussianModel, *, training_window: str) -> None:
@@ -392,7 +404,9 @@ def write_model_file(path, model: GaussianModel, *, training_window: str) -> Non
     write_json(path, doc)
 
 
-def read_model_file(path) -> tuple[GaussianModel, dict]:
+def read_model_file(path) -> GaussianModel:
+    """Read a model file; returns the calibrated model that write_model_file
+    took, or raises ParseError if the file breaks README's model contract."""
     doc, path = _read_json(path, MODEL_FORMAT), str(path)
     try:
         mu, sigma2, epsilon, quantile = (
@@ -401,26 +415,26 @@ def read_model_file(path) -> tuple[GaussianModel, dict]:
     except KeyError as exc:
         raise ParseError(f"malformed model: missing {exc}", path) from None
     if not (_is_numbers(mu) and _is_numbers(sigma2)
-            and all(v is None or _is_number(v) for v in (epsilon, quantile))):
-        raise ParseError("model needs arrays of numbers mu and sigma2 and a number or "
-                         "null epsilon and quantile", path)
+            and _is_number(epsilon) and _is_number(quantile)):
+        raise ParseError("model needs arrays of numbers mu and sigma2 and numbers "
+                         "epsilon and quantile", path)
     if len(mu) != len(sigma2):
         raise ParseError("mu and sigma2 must be equal-length lists", path)
     try:
         model = GaussianModel(
             mu=np.array(mu, dtype=np.float64),
             sigma2=np.array(sigma2, dtype=np.float64),
-            epsilon=None if epsilon is None else float(epsilon),
-            quantile=None if quantile is None else float(quantile),
+            epsilon=float(epsilon),
+            quantile=float(quantile),
         )
     except OverflowError as exc:
         raise ParseError(f"malformed model: {exc}", path) from None
-    scalars = [v for v in (model.epsilon, model.quantile) if v is not None]
+    scalars = [model.epsilon, model.quantile]
     if not np.isfinite(np.concatenate([model.mu, model.sigma2, scalars])).all():
         raise ParseError("mu, sigma2, epsilon and quantile must be finite", path)
     if np.any(model.sigma2 <= 0):
         raise ParseError("sigma2 entries must be positive", path)
-    return model, doc
+    return model
 
 
 def write_json(path, doc) -> None:

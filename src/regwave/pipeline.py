@@ -18,6 +18,7 @@ from . import gaussian
 from .errors import AlignmentError, InsufficientDataError
 from .metrics import ComparisonReport, build_report
 from .reducer import (
+    LEDGER_RTOL,
     ReducedRegister,
     ReductionPolicy,
     compression_ratio,
@@ -25,9 +26,6 @@ from .reducer import (
     synthesize_windows,
 )
 from .wavelets import FilterPair, energies
-
-# Largest relative gap between a window's energy and its register's ledger.
-LEDGER_RTOL = 1e-9
 
 
 def reduce_series(
@@ -104,23 +102,23 @@ def compare_windows(
     reported as one batch.
 
     The filter bank is orthonormal, so a window's energy equals its
-    register's level-1 ledger pair, ``kept + discarded``.  A window whose
-    energy differs from that sum by more than LEDGER_RTOL of the larger was
-    not reduced into its register, and is refused.
+    register's level-1 ledger pair, ``kept + discarded``, and the energy of
+    the window minus its rebuild equals the register's discarded energy.  A
+    window whose energy differs from that sum by more than LEDGER_RTOL of
+    the larger was not reduced into its register; a rebuild whose error
+    differs from the discarded energy by more than LEDGER_RTOL of the
+    window's energy contradicts its ledger.  Both are refused.
 
     Raises:
         InsufficientDataError: a model without epsilon.
-        LengthError, FamilyMismatchError: registers of mixed lengths or families.
+        LengthError, FamilyMismatchError: no registers, or registers of mixed
+            lengths or families.
         AlignmentError: when the windows need samples the series lacks, or
-            a window's energy does not match its register's ledger.
+            a window or its rebuild does not match its register's ledger.
     """
     x = np.asarray(values, dtype=np.float64)
     if model is not None and model.epsilon is None:
         raise InsufficientDataError("model has no threshold; run calibrate() first")
-    if not registers:
-        empty = np.empty((0, 0))
-        empty.setflags(write=False)
-        return Comparison([], np.empty(0), empty, empty, empty, empty)
     synthesized = synthesize_windows(registers)
     k, n = synthesized.shape
     if k * n > x.shape[0]:
@@ -130,12 +128,18 @@ def compare_windows(
             f"{x.shape[0]} samples"
         )
     originals = x[: k * n].reshape(k, n).copy()
-    for r, (energy, reduced) in enumerate(zip(energies(originals).tolist(), registers)):
-        ledger = sum(reduced.sibling_energies[0])
+    rows = zip(energies(originals).tolist(), energies(originals - synthesized).tolist())
+    for r, ((energy, error), reduced) in enumerate(zip(rows, registers)):
+        ledger, discarded = sum(reduced.sibling_energies[0]), reduced.discarded_energy()
         if abs(energy - ledger) > LEDGER_RTOL * max(energy, ledger):
             raise AlignmentError(
                 f"window {r} holds energy {energy!r}, but register {r}'s ledger holds "
                 f"{ledger!r}: it was not reduced from this series"
+            )
+        if abs(error - discarded) > LEDGER_RTOL * energy:
+            raise AlignmentError(
+                f"window {r} differs from its rebuild from register {r} by energy "
+                f"{error!r}, but the register's ledger discards {discarded!r}"
             )
     if model is None:
         mu, sigma2, epsilon = fit_row_models(originals, quantile)

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FamilyMismatchError, LengthError, PolicyError
-from .wavelets import FilterPair, analysis_step, energies, make_filter_pair, synthesis_step
+from .wavelets import (
+    FilterPair, analysis_step, energies, energy, make_filter_pair, synthesis_step,
+)
+
+# Largest relative gap between two energies that the ledger says are equal.
+LEDGER_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,9 @@ class ReducedRegister:
     decomposition is refused: a path that is empty or holds anything but
     ``L`` and ``H``, a ledger without one pair per path letter, an
     original_length that is not a power of two >= 2, coeffs that are not
-    ``original_length >> depth`` values, or a non-finite number.
+    ``original_length >> depth`` values, a non-finite number, or coeffs
+    whose energy is not the last ``kept`` of the ledger within LEDGER_RTOL
+    of the larger.
     """
 
     original_length: int
@@ -85,6 +92,13 @@ class ReducedRegister:
             raise DataError("non-finite coefficients")
         if not all(math.isfinite(e) for pair in self.sibling_energies for e in pair):
             raise DataError("non-finite sibling_energies")
+        with np.errstate(over="ignore"):  # an energy that overflows is refused
+            held = energy(self.coeffs)
+        kept = self.sibling_energies[-1][0]
+        if not math.isfinite(held) or abs(held - kept) > LEDGER_RTOL * max(held, kept):
+            raise DataError(
+                f"coefficients hold energy {held!r}, but the ledger keeps {kept!r}"
+            )
 
     @property
     def depth(self) -> int:
@@ -170,9 +184,9 @@ def decompose_windows(
 def family_and_length(registers) -> tuple[str, int]:
     """The family and original_length that a non-empty list of registers
     shares: FamilyMismatchError or LengthError otherwise."""
-    if not registers:
-        raise LengthError("no registers")
     families = sorted({reduced.family for reduced in registers})
+    if not families:
+        raise LengthError("no registers")
     if len(families) > 1:
         raise FamilyMismatchError(
             f"registers were reduced with different families {families}"
@@ -196,11 +210,8 @@ def synthesize_windows(registers) -> np.ndarray:
     registers share one family, whose filter bank rebuilds them, and one
     length n.  The registers of each depth are rebuilt as one group, level by
     level, and written back to their rows of a ``(windows, n)`` matrix; rows
-    do not mix, so a register rebuilds the same bits in any group.  No
-    registers give a ``(0, 0)`` matrix.
+    do not mix, so a register rebuilds the same bits in any group.
     """
-    if not registers:
-        return np.empty((0, 0))
     family, n = family_and_length(registers)
     filters = make_filter_pair(family)
     out = np.empty((len(registers), n))

@@ -71,9 +71,8 @@ def test_reduced_file_round_trip_is_exact(tmp_path):
     write_reduced_file(
         path, registers, SAMPLE_POLICY, source="series.csv", total_samples=200
     )
-    meta, loaded = read_reduced_file(path)
-    assert meta["window_size"] == 64
-    assert meta["dropped_samples"] == 8
+    loaded, policy, total_samples = read_reduced_file(path)
+    assert (policy, total_samples) == (SAMPLE_POLICY, 200)
     assert len(loaded) == len(registers)
     for original, round_tripped in zip(registers, loaded):
         assert round_tripped.path == original.path
@@ -87,10 +86,12 @@ def test_reduced_file_envelope_comes_from_the_registers_and_the_policy(tmp_path)
     x = np.random.default_rng(5).normal(size=(5, 32))
     registers = decompose_windows(x, make_filter_pair("db3"), policy)
     write_reduced_file(path, registers, policy, source="series.csv", total_samples=171)
-    meta, loaded = read_reduced_file(path)
-    assert (meta["family"], meta["window_size"]) == ("db3", 32)
-    assert (meta["depth"], meta["min_energy_ratio"]) == (3, 0.75)
-    assert (meta["total_samples"], meta["dropped_samples"]) == (171, 11)
+    doc = json.loads(path.read_text())
+    assert (doc["family"], doc["window_size"]) == ("db3", 32)
+    assert (doc["depth"], doc["min_energy_ratio"]) == (3, 0.75)
+    assert (doc["total_samples"], doc["dropped_samples"]) == (171, 11)
+    loaded, read_policy, total_samples = read_reduced_file(path)
+    assert (read_policy, total_samples) == (policy, 171)
     assert [r.path for r in loaded] == [r.path for r in registers]
     with pytest.raises(LengthError, match="no registers"):
         write_reduced_file(path, [], policy, source="series.csv", total_samples=0)
@@ -180,12 +181,12 @@ def test_model_file_round_trip(tmp_path):
         quantile=0.01,
     )
     write_model_file(path, model, training_window="series.csv[0:512)")
-    loaded, doc = read_model_file(path)
+    loaded = read_model_file(path)
     assert np.array_equal(loaded.mu, model.mu)
     assert np.array_equal(loaded.sigma2, model.sigma2)
     assert loaded.epsilon == model.epsilon
     assert loaded.quantile == model.quantile
-    assert doc["training_window"] == "series.csv[0:512)"
+    assert json.loads(path.read_text())["training_window"] == "series.csv[0:512)"
 
 
 def test_model_file_validates_shapes(tmp_path):

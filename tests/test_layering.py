@@ -6,7 +6,8 @@ Formats and the CLI sit on top: they read and write what the modules below
 compute.  An import the other way round couples the kernels to a file layout.
 An import nothing reads is left over from a deletion.  Every file is opened by
 formats or, for scenario files, by scenario, so that each on-disk layout is
-written in one place; the CLI passes paths and documents along.
+written in one place; the CLI passes paths along, gets back what each writer
+took, and indexes only the report document it builds itself.
 """
 
 import ast
@@ -122,3 +123,21 @@ def test_only_formats_and_scenario_open_files(path):
 def test_cli_does_not_import_json():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert "json" not in set(imported_modules(source))
+
+
+def string_keyed_subscripts(source: str) -> list[str]:
+    """The source text of every expression that a string constant indexes."""
+    return [
+        ast.unparse(node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, str)
+    ]
+
+
+def test_cli_indexes_no_file_document():
+    # The readers in formats return what their writers took, so the only
+    # document the CLI indexes is the report that cmd_compare builds.
+    assert string_keyed_subscripts('meta["n"]\nx[0]\nf"{doc[\'k\']}"\n') == ["meta", "doc"]
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert set(string_keyed_subscripts(source)) == {"doc"}

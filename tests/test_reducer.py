@@ -81,6 +81,8 @@ INVALID_REGISTERS = {
     "inf coefficient": {"coeffs": np.array([np.inf, SQRT2])},
     "-inf discarded energy": {"sibling_energies": ((4.0, -np.inf),)},
     "nan kept energy": {"sibling_energies": ((np.nan, 0.0),)},
+    "coefficients off the ledger": {"sibling_energies": ((4.5, 0.0),)},
+    "coefficient energy beyond float": {"coeffs": np.array([1e200, SQRT2])},
 }
 
 
@@ -308,7 +310,8 @@ def test_synthesize_windows_rebuilds_mixed_depths_in_input_order():
     assert rebuilt.shape == (5, 32)
     for red, window in zip(reduced, rebuilt):
         assert window.tobytes() == _lone_synthesize(red.path, red.coeffs, fp).tobytes()
-    assert synthesize_windows([]).shape == (0, 0)
+    with pytest.raises(LengthError, match="no registers"):
+        synthesize_windows([])
 
 
 def test_synthesize_windows_refuses_two_lengths():
