@@ -37,7 +37,6 @@ from .reducer import (
 from .telemetry import (
     AnomalyScenario,
     Burst,
-    PortCounters,
     RegisterStore,
     SwitchSim,
     TrafficProfile,
@@ -70,7 +69,6 @@ __all__ = [
     "MonotonicityError",
     "ParseError",
     "PolicyError",
-    "PortCounters",
     "ReducedRegister",
     "ReductionPolicy",
     "RegisterStore",

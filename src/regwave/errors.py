@@ -57,7 +57,10 @@ class ParseError(InputError):
     """Malformed scenario or data file; carries the offending line number."""
 
     def __init__(self, message: str, path: str = "", line: int = 0):
-        where = f"{path}:{line}: " if path else (f"line {line}: " if line else "")
+        if path:
+            where = f"{path}:{line}: " if line else f"{path}: "
+        else:
+            where = f"line {line}: " if line else ""
         super().__init__(where + message)
         self.path = path
         self.line = line

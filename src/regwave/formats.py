@@ -160,7 +160,7 @@ def read_register_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             header = fh.readline()
             body = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read register: {exc}", str(path), 0) from None
+        raise ParseError(f"cannot read register: {exc}", str(path)) from None
     if header.rstrip(b"\r\n") == CSV_HEADER.encode() and not body.translate(
         None, _PLAIN_BYTES
     ):
@@ -178,16 +178,14 @@ def read_register_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             pass
         else:
             return tuple(np.ascontiguousarray(table[name]) for name in table.dtype.names)
-    return _read_register_rows(path)
+    return _read_register_rows(path, header + body)
 
 
-def _read_register_rows(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-line reader: every row through int() and float()."""
+def _read_register_rows(path, data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-line reader: every row of the file's bytes through int() and
+    float()."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read register: {exc}", str(path), 0) from None
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError.not_utf8(exc, path) from None
     if not lines or lines[0].strip() != CSV_HEADER:
@@ -385,6 +383,9 @@ def read_reduced_file(path) -> tuple[list[ReducedRegister], ReductionPolicy, int
                 f"window {i}: depth {register.depth} is not the file's depth {depth}", path
             )
         registers.append(register)
+    # Every window_size is now a power of two, so bit_length - 1 is its log2.
+    if depth > window_size.bit_length() - 1:
+        raise ParseError(f"depth {depth} exceeds log2 of the window_size {window_size}", path)
     if dropped != total - len(registers) * window_size or not 0 <= dropped < window_size:
         raise ParseError(f"dropped_samples {dropped} must equal total_samples {total} - "
                          f"{len(registers)} windows * {window_size} and lie in "
@@ -461,7 +462,7 @@ def _read_json(path, expected_format: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", str(path), 0) from None
+        raise ParseError(f"cannot read file: {exc}", str(path)) from None
     except UnicodeDecodeError as exc:
         raise ParseError.not_utf8(exc, path) from None
     except json.JSONDecodeError as exc:

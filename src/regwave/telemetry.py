@@ -1,19 +1,18 @@
 """Simulated switch data plane and polling.
 
-Switches hold monotone per-port counters driven by traffic profiles and
-injected anomalies on a simulated clock.  Polling a switch for n ticks runs
-one columnar kernel per switch: every tick's volume, jitter draw and counter
-value is computed at once with numpy, and the register store receives one
-int64 column per counter field plus the poll timestamps.  Everything is
-deterministic under a fixed seed, so a 42-minute experiment replays in
-milliseconds.
+Switches hold per-port traffic profiles and injected anomalies, and no state:
+polling a switch for n ticks simulates from t = 0 in one columnar kernel.
+Every tick's volume, jitter draw and counter value is computed at once with
+numpy, and the register store receives one int64 column per counter field
+plus the poll timestamps.  Everything is deterministic under a fixed seed, so
+a 42-minute experiment replays in milliseconds.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,23 +41,6 @@ COUNTER_FIELDS = (
     "rx_errors",
     "tx_errors",
 )
-
-
-@dataclass
-class PortCounters:
-    """Cumulative per-port statistics, all monotone non-decreasing."""
-
-    rx_packets: int = 0
-    tx_packets: int = 0
-    rx_bytes: int = 0
-    tx_bytes: int = 0
-    rx_drops: int = 0
-    tx_drops: int = 0
-    rx_errors: int = 0
-    tx_errors: int = 0
-
-    def copy(self) -> "PortCounters":
-        return PortCounters(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -138,19 +120,19 @@ def _rng_for(seed: int, switch_id: str) -> np.random.Generator:
     )
 
 
-def _accrue(start: int, volume: np.ndarray, counter: str) -> np.ndarray:
-    """start plus the running total of volume in whole units; refuses a tick
-    volume of 2**63 or more (inf and nan too) and a total past int64."""
+def _accrue(volume: np.ndarray, counter: str) -> np.ndarray:
+    """Running total of volume in whole units; refuses a tick volume of 2**63
+    or more (inf and nan too) and a total past int64."""
     if not np.all(volume < 2.0**63):
         raise DataError(f"{counter}: a tick volume reaches 2**63")
-    total = start + np.cumsum(np.rint(volume).astype(np.int64))
-    if np.any(total < np.concatenate([[start], total[:-1]])):
+    total = np.cumsum(np.rint(volume).astype(np.int64))
+    if np.any(total < np.concatenate([[0], total[:-1]])):
         raise DataError(f"{counter} passes the int64 range")
     return total
 
 
 class SwitchSim:
-    """One simulated switch: per-port counters on a private clock and RNG."""
+    """One simulated switch.  It holds no state: every run starts afresh."""
 
     def __init__(self, switch_id: str, profiles: dict, scenarios=(), seed: int = 0):
         if not profiles:
@@ -164,9 +146,6 @@ class SwitchSim:
                     f"anomaly targets unknown port {sc.port} on switch {switch_id!r}"
                 )
         self.seed = seed
-        self.clock = 0.0
-        self.counters = {port: PortCounters() for port in sorted(self.profiles)}
-        self._rng = _rng_for(seed, switch_id)
 
     def _volumes(self, port: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact bytes offered to a port over each tick [edges[k], edges[k+1])
@@ -220,46 +199,39 @@ class SwitchSim:
     # port and counter; numpy's warning would only print ahead of that.
     @np.errstate(over="ignore", invalid="ignore")
     def run(self, n_ticks: int, dt: float) -> tuple[np.ndarray, dict]:
-        """Accrue n_ticks intervals of dt seconds of traffic on every port.
+        """Simulate n_ticks ticks of dt seconds from t = 0 and zero counters.
 
         Per tick and direction the interval volume is scaled by
-        max(0, 1 + jitter * g) with one standard normal g drawn from the
+        max(0, 1 + jitter * g) with one standard normal g drawn from a fresh
         switch stream (tick-major, then port, then rx before tx), then
         rounded half-to-even to whole bytes.  Dropout-suppressed volume lands
         in the drop counters.  A counter that would pass int64 is a DataError.
 
         Returns:
-            (timestamps, columns): the clock after each tick, and per port a
-            dict of int64 counter columns keyed by COUNTER_FIELDS.
+            (timestamps, columns): the time at the end of each tick, and per
+            port a dict of int64 counter columns keyed by COUNTER_FIELDS.
         """
         if not 0 < dt < math.inf:
             raise InputError(f"dt must be positive and finite, got {dt}")
         ports = sorted(self.profiles)
-        # Sequential cumsum: the same float additions as ticking the clock.
-        edges = np.cumsum(np.concatenate([[self.clock], np.full(n_ticks, float(dt))]))
-        draws = self._rng.standard_normal((n_ticks, len(ports), 2))
+        # Sequential cumsum: tick k ends at dt added k times, left to right.
+        edges = np.cumsum(np.concatenate([[0.0], np.full(n_ticks, float(dt))]))
+        rng = _rng_for(self.seed, self.switch_id)
+        draws = rng.standard_normal((n_ticks, len(ports), 2))
         columns = {}
         for i, port in enumerate(ports):
             offered, suppressed = self._volumes(port, edges)
             jitter = self.profiles[port].jitter
-            start = self.counters[port]
             col = {}
             for d, side in enumerate(("rx", "tx")):
                 scale = np.maximum(0.0, 1.0 + jitter * draws[:, i, d])
                 for name, volume in ((f"{side}_bytes", offered * scale),
                                      (f"{side}_drops", suppressed)):
-                    col[name] = _accrue(getattr(start, name), volume,
+                    col[name] = _accrue(volume,
                                         f"{name} of port {port} on {self.switch_id!r}")
                 col[f"{side}_packets"] = col[f"{side}_bytes"] // FRAME_BYTES
-                col[f"{side}_errors"] = np.full(
-                    n_ticks, getattr(start, f"{side}_errors"), dtype=np.int64
-                )
+                col[f"{side}_errors"] = np.zeros(n_ticks, dtype=np.int64)
             columns[port] = col
-            if n_ticks:
-                self.counters[port] = PortCounters(
-                    **{name: int(col[name][-1]) for name in COUNTER_FIELDS}
-                )
-        self.clock = float(edges[-1])
         return edges[1:], columns
 
 
@@ -267,7 +239,7 @@ class SwitchSim:
 class Snapshot:
     tick: int
     timestamp_s: float
-    counters: PortCounters
+    counters: dict  # int per COUNTER_FIELDS name
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -280,8 +252,8 @@ class RegisterStore:
     """Polled counter columns per (switch, port).
 
     Each series is one timestamp array plus one int64 column per counter
-    field; row i is the snapshot of tick i + 1.  Accessors hand out the
-    store's own arrays, read-only.
+    field; row i is the snapshot of tick i + 1 counted from t = 0, whichever
+    poll filled it.  Accessors hand out the store's own arrays, read-only.
     """
 
     def __init__(self):
@@ -326,7 +298,7 @@ class RegisterStore:
         stamps, cols = self._get(switch_id, port)
         rows = zip(*(cols[name].tolist() for name in COUNTER_FIELDS))
         return [
-            Snapshot(tick=i, timestamp_s=ts, counters=PortCounters(*row))
+            Snapshot(tick=i, timestamp_s=ts, counters=dict(zip(COUNTER_FIELDS, row)))
             for i, (ts, row) in enumerate(zip(stamps.tolist(), rows), start=1)
         ]
 

@@ -198,6 +198,13 @@ def _envelope_depth_5(doc):
     doc["depth"] = 5
 
 
+# The floor lets every depth-1 window stop above depth 9, which no window of
+# 64 samples reaches.
+def _depth_past_log2(doc):
+    doc["depth"] = 9
+    doc["min_energy_ratio"] = 0.5
+
+
 # Entries listed out of order; each keeps its own consistent index and start.
 def _windows_0_2(doc):
     doc["windows"] = [doc["windows"][0], doc["windows"][2]]
@@ -331,6 +338,7 @@ ENVELOPE_TYPES = "envelope needs integer window_size and depth"
     (_envelope_window_32, "window 0: original_length 64 is not the file's window_size 32"),
     (_one_window_of_32, "window 0: original_length 32 is not the file's window_size 64"),
     (_envelope_depth_5, "window 0: depth 1 is not the file's depth 5"),
+    (_depth_past_log2, "depth 9 exceeds log2 of the window_size 64"),
     (_windows_0_2, "window 1: index 2 is not its position 1 in windows"),
     (_windows_1_0, "window 0: index 1 is not its position 0 in windows"),
     (_windows_0_0, "window 1: index 0 is not its position 1 in windows"),
@@ -382,6 +390,22 @@ def test_inconsistent_reduced_window_exits_two(video_sim, tmp_path, capsys, verb
     err = capsys.readouterr().err
     assert message in err if code else err == ""
     assert out.exists() == (code == 0)
+
+
+def test_a_whole_file_refusal_names_the_path_without_a_line(video_sim, tmp_path, capsys):
+    red = tmp_path / "nan.json"
+    assert main(["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "64",
+                 "--out", str(red)]) == 0
+    doc = json.loads(red.read_text())
+    doc["min_energy_ratio"] = float("nan")
+    red.write_text(json.dumps(doc))
+    missing = tmp_path / "missing.json"
+    for path, message in ((red, "min_energy_ratio must lie in [0, 1], got nan"),
+                          (missing, "cannot read file: ")):
+        capsys.readouterr()
+        assert main(["synthesize", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and ":0:" not in err
 
 
 def test_only_an_energy_floor_lets_a_window_stop_above_the_file_depth(video_sim, tmp_path,

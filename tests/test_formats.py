@@ -272,6 +272,10 @@ READER_CASES = {
 }
 
 
+def _per_line(path):
+    return formats._read_register_rows(path, path.read_bytes())
+
+
 def _outcome(read, path):
     try:
         ticks, stamps, values = read(path)
@@ -287,7 +291,7 @@ def _outcome(read, path):
 def test_register_reader_matches_the_per_line_reader(tmp_path, header, body):
     path = tmp_path / "series.csv"
     path.write_bytes((header + body).encode("utf-8"))
-    assert _outcome(read_register_csv, path) == _outcome(formats._read_register_rows, path)
+    assert _outcome(read_register_csv, path) == _outcome(_per_line, path)
 
 
 @pytest.mark.filterwarnings("error")
@@ -295,11 +299,11 @@ def test_register_reader_matches_the_per_line_reader(tmp_path, header, body):
 def test_register_reader_matches_the_per_line_reader_on_headers(tmp_path, text):
     path = tmp_path / "series.csv"
     path.write_text(text)
-    assert _outcome(read_register_csv, path) == _outcome(formats._read_register_rows, path)
+    assert _outcome(read_register_csv, path) == _outcome(_per_line, path)
 
 
 def test_plain_register_is_read_without_the_per_line_reader(tmp_path, monkeypatch):
-    def refuse(path):
+    def refuse(path, data):
         raise AssertionError("plain rows reached the per-line reader")
 
     path = tmp_path / "series.csv"

@@ -53,7 +53,7 @@ def test_parse_full_scenario():
     assert cfg.server_port_keys() == [("s1", 2)]
     switches = cfg.build_switches(seed=4)
     assert [sw.switch_id for sw in switches] == ["s1"]
-    assert set(switches[0].counters) == {1, 2}
+    assert set(switches[0].profiles) == {1, 2}
 
 
 @pytest.mark.parametrize("name", ("video-42min.scn", "spike-demo.scn"))

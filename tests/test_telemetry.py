@@ -27,65 +27,54 @@ def steady(rate=1000.0, jitter=0.0, bursts=()):
     return TrafficProfile(base_rate=rate, jitter=jitter, bursts=tuple(bursts))
 
 
+def per_tick(sw, n_ticks, dt=10.0, name="tx_bytes"):
+    """Volume of each of the first n_ticks ticks of port 1's counter."""
+    _, columns = sw.run(n_ticks, dt)
+    return np.diff(columns[1][name], prepend=0).tolist()
+
+
 def test_deterministic_rate_accrual():
-    sw = SwitchSim("s1", {1: steady()}, seed=0)
-    sw.run(1, 10.0)
-    assert sw.counters[1].tx_bytes == 10_000
-    assert sw.counters[1].rx_bytes == 10_000
-    assert sw.counters[1].tx_packets == 10
+    _, columns = SwitchSim("s1", {1: steady()}, seed=0).run(1, 10.0)
+    assert columns[1]["tx_bytes"].tolist() == [10_000]
+    assert columns[1]["rx_bytes"].tolist() == [10_000]
+    assert columns[1]["tx_packets"].tolist() == [10]
 
 
 def test_full_dropout_suppresses_all_bytes():
     sw = SwitchSim(
         "s1", {1: steady()}, [AnomalyScenario("dropout", 1, 0.0, 10.0, 0.0)], seed=0
     )
-    sw.run(1, 10.0)
-    assert sw.counters[1].tx_bytes == 0
-    assert sw.counters[1].tx_drops == 10_000
+    _, columns = sw.run(1, 10.0)
+    assert columns[1]["tx_bytes"].tolist() == [0]
+    assert columns[1]["tx_drops"].tolist() == [10_000]
 
 
 def test_spike_multiplies_one_interval():
     sw = SwitchSim(
         "s1", {1: steady()}, [AnomalyScenario("spike", 1, 10.0, 10.0, 10.0)], seed=0
     )
-    seen = []
-    for _ in range(3):
-        before = sw.counters[1].tx_bytes
-        sw.run(1, 10.0)
-        seen.append(sw.counters[1].tx_bytes - before)
-    assert seen == [10_000, 100_000, 10_000]
+    assert per_tick(sw, 3) == [10_000, 100_000, 10_000]
 
 
 def test_drift_ramps_linearly_then_holds():
     sw = SwitchSim(
         "s1", {1: steady()}, [AnomalyScenario("drift", 1, 0.0, 20.0, 3.0)], seed=0
     )
-    seen = []
-    for _ in range(3):
-        before = sw.counters[1].tx_bytes
-        sw.run(1, 10.0)
-        seen.append(sw.counters[1].tx_bytes - before)
     # Ramp averages 1.5x then 2.5x over its two intervals, then holds at 3x.
-    assert seen == [15_000, 25_000, 30_000]
+    assert per_tick(sw, 3) == [15_000, 25_000, 30_000]
 
 
 def test_burst_multiplies_its_span():
     sw = SwitchSim("s1", {1: steady(bursts=[Burst(10.0, 10.0, 2.0)])}, seed=0)
-    seen = []
-    for _ in range(3):
-        before = sw.counters[1].tx_bytes
-        sw.run(1, 10.0)
-        seen.append(sw.counters[1].tx_bytes - before)
-    assert seen == [10_000, 20_000, 10_000]
+    assert per_tick(sw, 3) == [10_000, 20_000, 10_000]
 
 
 def test_partial_interval_overlap_integrates_exactly():
     sw = SwitchSim(
         "s1", {1: steady()}, [AnomalyScenario("spike", 1, 5.0, 10.0, 3.0)], seed=0
     )
-    sw.run(1, 10.0)
     # Half the interval at 1x, half at 3x.
-    assert sw.counters[1].tx_bytes == 5_000 + 15_000
+    assert per_tick(sw, 1) == [5_000 + 15_000]
 
 
 def test_counters_stay_monotone_under_everything():
@@ -102,13 +91,8 @@ def test_counters_stay_monotone_under_everything():
         ],
         seed=5,
     )
-    previous = sw.counters[1].copy()
-    for _ in range(40):
-        sw.run(1, 10.0)
-        current = sw.counters[1]
-        for name in COUNTER_FIELDS:
-            assert getattr(current, name) >= getattr(previous, name)
-        previous = current.copy()
+    for name in COUNTER_FIELDS:
+        assert min(per_tick(sw, 40, name=name)) >= 0
 
 
 def test_poll_counts_and_cadence():
@@ -137,10 +121,7 @@ def test_duration_must_be_a_multiple_of_interval():
 
 def _series_dump(store):
     return {
-        key: tuple(
-            tuple(getattr(s.counters, f) for f in COUNTER_FIELDS)
-            for s in store.snapshots(*key)
-        )
+        key: tuple(tuple(store.counter_series(*key, f).tolist()) for f in COUNTER_FIELDS)
         for key in store.keys()
     }
 
@@ -316,9 +297,7 @@ def test_tick_pieces_are_added_left_to_right():
     profile = TrafficProfile(
         base_rate=4.0, bursts=(Burst(0.0, 9.5, 2**53 / 38), Burst(9.75, 5.0, 1.0))
     )
-    sw = SwitchSim("s1", {1: profile}, seed=0)
-    sw.run(1, 10.0)
-    assert sw.counters[1].tx_bytes == 2**53
+    assert per_tick(SwitchSim("s1", {1: profile}, seed=0), 1) == [2**53]
     assert _reference_volume(profile, [], 0.0, 10.0, True) == 2**53
 
 
@@ -329,9 +308,8 @@ def test_a_tick_of_three_pieces_sums_left_to_right_not_pairwise():
     profile = TrafficProfile(
         base_rate=1.0, bursts=(Burst(0.0, 8.0, 1.25e15), Burst(9.0, 1.0, 1.0))
     )
-    sw = SwitchSim("s1", {1: profile}, seed=0)
-    sw.run(1, 10.0)
-    assert sw.counters[1].tx_bytes == sw.counters[1].rx_bytes == 10**16
+    _, columns = SwitchSim("s1", {1: profile}, seed=0).run(1, 10.0)
+    assert columns[1]["tx_bytes"].tolist() == columns[1]["rx_bytes"].tolist() == [10**16]
 
 
 @pytest.mark.parametrize("counter, scenarios", [
@@ -340,16 +318,15 @@ def test_a_tick_of_three_pieces_sums_left_to_right_not_pairwise():
 def test_a_counter_past_int64_is_refused_not_wrapped(counter, scenarios):
     # 2**63 - 1024 is the largest float below 2**63: one tick fits, two wrap.
     sw = SwitchSim("s1", {1: steady(rate=2.0**63 - 1024)}, scenarios, seed=0)
-    sw.run(1, 1.0)
-    assert getattr(sw.counters[1], counter) == 2**63 - 1024
+    assert sw.run(1, 1.0)[1][1][counter].tolist() == [2**63 - 1024]
     with pytest.raises(DataError, match=f"{counter} of port 1 on 's1' passes the int64 range"):
-        sw.run(1, 1.0)
+        sw.run(2, 1.0)
 
 
 @pytest.mark.parametrize("volume", (2.0**63, 1e300, np.inf, np.nan))
 def test_a_tick_volume_of_2_to_the_63_or_more_is_refused(volume):
     with pytest.raises(DataError, match=r"tx_bytes: a tick volume reaches 2\*\*63"):
-        _accrue(0, np.array([1.0, volume]), "tx_bytes")
+        _accrue(np.array([1.0, volume]), "tx_bytes")
     if np.isfinite(volume):
         with pytest.raises(DataError, match="rx_bytes of port 1 on 's1': a tick volume"):
             SwitchSim("s1", {1: steady(rate=volume)}, seed=0).run(1, 1.0)
@@ -380,31 +357,24 @@ def test_poll_refuses_more_than_max_ticks_before_running(monkeypatch):
 
 
 @pytest.mark.parametrize("interval", (10.0, 0.1))
-def test_one_tick_run_k_times_equals_poll_over_k_ticks(interval):
-    def build():
-        # Burst and spike edges fall inside ticks 3 and 5.
-        burst = Burst(2.5 * interval, 3.0 * interval, 3.0)
-        profile = steady(jitter=0.2, bursts=[burst])
-        spike = AnomalyScenario("spike", 1, 4.25 * interval, 0.5 * interval, 6.0)
-        return SwitchSim("s1", {1: profile, 2: steady(rate=40.0)}, [spike], seed=8)
+def test_polling_the_same_switches_twice_gives_the_same_store(interval):
+    # Burst and spike edges fall inside ticks 3 and 5.
+    burst = Burst(2.5 * interval, 3.0 * interval, 3.0)
+    profile = steady(jitter=0.2, bursts=[burst])
+    spike = AnomalyScenario("spike", 1, 4.25 * interval, 0.5 * interval, 6.0)
+    sw = SwitchSim("s1", {1: profile, 2: steady(rate=40.0)}, [spike], seed=8)
 
     k = 37
-    polled_switch = build()
-    store = poll([polled_switch], interval=interval, duration=interval * k)
-    stepped = build()
-    clock = 0.0
-    for tick in range(k):
-        stepped.run(1, interval)
-        clock += interval
-        assert stepped.clock == clock
-        assert store.timestamps("s1", 1)[tick] == clock
-        for port in (1, 2):
-            for f in COUNTER_FIELDS:
-                assert store.counter_series("s1", port, f)[tick] == getattr(
-                    stepped.counters[port], f
-                )
-    assert stepped.counters == polled_switch.counters
-    assert stepped.clock == polled_switch.clock
+    first = poll([sw], interval=interval, duration=interval * k)
+    second = poll([sw], interval=interval, duration=interval * k)
+    stamps, columns = sw.run(k, interval)
+    for port in (1, 2):
+        when = first.timestamps("s1", port).tolist()
+        assert second.timestamps("s1", port).tolist() == when == stamps.tolist()
+        for f in COUNTER_FIELDS:
+            column = first.counter_series("s1", port, f).tolist()
+            assert second.counter_series("s1", port, f).tolist() == column
+            assert columns[port][f].tolist() == column
 
 
 def test_store_hands_out_read_only_arrays():
@@ -425,7 +395,7 @@ def test_snapshot_rows_match_the_columns():
     assert [s.timestamp_s for s in rows] == store.timestamps("sw", 1).tolist()
     for f in COUNTER_FIELDS:
         column = store.counter_series("sw", 1, f).tolist()
-        assert [getattr(s.counters, f) for s in rows] == column
+        assert [s.counters[f] for s in rows] == column
 
 
 def test_select_server_ports_refuses_unknown_keys():
