@@ -32,10 +32,14 @@ EXIT_INPUT = 2
 EXIT_CONTRACT = 3
 
 
-def _add_detector_flags(sub: argparse.ArgumentParser, train_help: str) -> None:
+def _add_detector_flags(sub: argparse.ArgumentParser) -> None:
     """The flags detect and compare share: where the model comes from."""
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--train", type=int, help=train_help)
+    sub.add_argument(
+        "--train",
+        type=int,
+        help="fit on the first N delta samples (default: the whole series)",
+    )
     sub.add_argument(
         "--model",
         help="score with a saved model file, whose threshold is used as is "
@@ -100,9 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("detect", help="fit the Gaussian detector and flag a series")
     p.add_argument("register", help="counter CSV from simulate")
-    _add_detector_flags(
-        p, "fit on the first N delta samples (default: the whole series)"
-    )
+    _add_detector_flags(p)
     p.set_defaults(func=cmd_detect)
 
     p = subs.add_parser(
@@ -110,11 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("register", help="counter CSV the reduced file was built from")
     p.add_argument("reduced", help="reduced-register file")
-    _add_detector_flags(
-        p,
-        "fit one model on the first N delta samples "
-        "(default: fit per window on its own samples)",
-    )
+    _add_detector_flags(p)
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -139,9 +137,21 @@ def cmd_simulate(args) -> int:
 
 
 def _deltas(path) -> np.ndarray:
-    """The per-interval deltas of a register CSV, as float64."""
+    """The per-interval deltas of a register CSV, as float64.
+
+    Deltas are never negative, and every integer up to 2**53 is a float64,
+    so a delta above 2**53, which float64 would round, is refused.
+    """
     _, _, counters = formats.read_register_csv(path)
-    return deltas(counters).astype(np.float64)
+    steps = deltas(counters)
+    inexact = np.flatnonzero(steps > 2**53)
+    if inexact.size:
+        i = int(inexact[0])
+        raise InputError(
+            f"{path}: delta {i} is {steps[i]}, above 2**53, which float64 cannot "
+            "hold exactly"
+        )
+    return steps.astype(np.float64)
 
 
 def cmd_reduce(args) -> int:
@@ -177,37 +187,32 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def _series_and_model(
-    args, per_window: bool
-) -> tuple[np.ndarray, gaussian.GaussianModel | None, float | None]:
-    """The deltas of detect's or compare's register, the model that scores
-    them, and the quantile of its threshold.
+def _series_and_model(args) -> tuple[np.ndarray, gaussian.GaussianModel]:
+    """The deltas of detect's or compare's register and the calibrated model
+    that scores them.
 
     A saved --model fixes its own threshold, so --train and --quantile are
     refused next to it before any file is read.  Otherwise the model is
-    fitted and calibrated on the first --train deltas, a prefix in [2, N];
-    without --train it is fitted on the whole series, or, with per_window,
-    left None: each window is then scored by a fit on its own samples.
+    fitted and calibrated on the first --train deltas, a prefix in [2, N],
+    or on the whole series without --train.
     """
     if args.model is not None:
         for flag in ("train", "quantile"):
             if getattr(args, flag) is not None:
                 raise InputError(f"--{flag} cannot be combined with --model")
         model = formats.read_model_file(args.model)
-        return _deltas(args.register), model, model.quantile
+        return _deltas(args.register), model
     quantile = 0.01 if args.quantile is None else args.quantile
     series = _deltas(args.register)
     n = series.shape[0]
     if args.train is not None and not 2 <= args.train <= n:
         raise InputError(f"--train must lie in [2, {n}], got {args.train}")
-    if args.train is None and per_window:
-        return series, None, quantile
     prefix = series[: args.train]  # the whole series when train is None
-    return series, gaussian.calibrate(gaussian.fit(prefix), prefix, quantile), quantile
+    return series, gaussian.calibrate(gaussian.fit(prefix), prefix, quantile)
 
 
 def cmd_detect(args) -> int:
-    series, model, _ = _series_and_model(args, per_window=False)
+    series, model = _series_and_model(args)
     train = series.shape[0] if args.train is None else args.train
     trained_on = (f"model file {args.model}" if args.model is not None
                   else f"{args.register}[0:{train})")
@@ -233,14 +238,14 @@ def cmd_detect(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    series, model, quantile = _series_and_model(args, per_window=True)
+    series, model = _series_and_model(args)
     registers, policy, total_samples = formats.read_reduced_file(args.reduced)
     if total_samples != series.shape[0]:
         raise AlignmentError(
             f"{args.register} holds {series.shape[0]} deltas, but {args.reduced} was "
             f"reduced from {total_samples}"
         )
-    result = pipeline.compare_windows(series, registers, model=model, quantile=quantile)
+    result = pipeline.compare_windows(series, registers, model)
     os.makedirs(args.out, exist_ok=True)
     family, n = family_and_length(registers)
     doc = {
@@ -249,7 +254,7 @@ def cmd_compare(args) -> int:
         "family": family,
         "window_size": n,
         "depth": policy.max_depth,
-        "quantile": quantile,
+        "quantile": model.quantile,
         "windows": [],
     }
     for r, (rep, epsilon) in enumerate(zip(result.reports, result.epsilon.tolist())):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import os
 import warnings
 
@@ -396,8 +397,8 @@ def read_reduced_file(path) -> tuple[list[ReducedRegister], ReductionPolicy, int
 def write_model_file(path, model: GaussianModel, *, training_window: str) -> None:
     doc = {
         "format": MODEL_FORMAT,
-        "mu": [float(v) for v in model.mu],
-        "sigma2": [float(v) for v in model.sigma2],
+        "mu": [model.mu],
+        "sigma2": [model.sigma2],
         "epsilon": model.epsilon,
         "quantile": model.quantile,
         "training_window": training_window,
@@ -419,23 +420,17 @@ def read_model_file(path) -> GaussianModel:
             and _is_number(epsilon) and _is_number(quantile)):
         raise ParseError("model needs arrays of numbers mu and sigma2 and numbers "
                          "epsilon and quantile", path)
-    if len(mu) != len(sigma2):
-        raise ParseError("mu and sigma2 must be equal-length lists", path)
+    if len(mu) != 1 or len(sigma2) != 1:
+        raise ParseError("mu and sigma2 must each hold one number", path)
     try:
-        model = GaussianModel(
-            mu=np.array(mu, dtype=np.float64),
-            sigma2=np.array(sigma2, dtype=np.float64),
-            epsilon=float(epsilon),
-            quantile=float(quantile),
-        )
+        numbers = [float(v) for v in (mu[0], sigma2[0], epsilon, quantile)]
     except OverflowError as exc:
         raise ParseError(f"malformed model: {exc}", path) from None
-    scalars = [model.epsilon, model.quantile]
-    if not np.isfinite(np.concatenate([model.mu, model.sigma2, scalars])).all():
+    if not all(map(math.isfinite, numbers)):
         raise ParseError("mu, sigma2, epsilon and quantile must be finite", path)
-    if np.any(model.sigma2 <= 0):
-        raise ParseError("sigma2 entries must be positive", path)
-    return model
+    if numbers[1] <= 0:
+        raise ParseError("sigma2 must be positive", path)
+    return GaussianModel(*numbers)
 
 
 def write_json(path, doc) -> None:

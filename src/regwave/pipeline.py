@@ -63,9 +63,9 @@ class Comparison:
 
 
 def fit_row_models(train, quantile: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fit and calibrate one single-feature model per row of a ``(rows, m)``
-    matrix; returns ``(mu, sigma2, epsilon)`` for :func:`judge_windows`."""
-    x = np.ascontiguousarray(train, dtype=np.float64)[:, :, None]
+    """Fit and calibrate one model per row of a ``(rows, m)`` matrix;
+    returns ``(mu, sigma2, epsilon)`` for :func:`judge_windows`."""
+    x = np.ascontiguousarray(train, dtype=np.float64)
     mu, sigma2 = gaussian.fit_rows(x)
     return mu, sigma2, gaussian.calibrate_rows(mu, sigma2, x, quantile)
 
@@ -74,32 +74,26 @@ def judge_windows(originals, synthesized, compression, mu, sigma2, epsilon):
     """Score both versions of every window with its row's model and report.
 
     originals and synthesized are C-contiguous ``(rows, n)`` matrices; row r
-    is scored by ``mu[r]``, ``sigma2[r]`` and ``epsilon[r]``, or a ``(1, 1)``
-    mu and sigma2 score every row.  Returns the reports plus the
+    is scored by ``mu[r]``, ``sigma2[r]`` and ``epsilon[r]``, or a scalar mu
+    and sigma2 score every row.  Returns the reports plus the
     probabilities of the originals and of the synthesized windows, each
     ``(rows, n)``.
     """
-    flags_o, prob_o = gaussian.detect_rows(mu, sigma2, epsilon, originals[:, :, None])
-    flags_s, prob_s = gaussian.detect_rows(mu, sigma2, epsilon, synthesized[:, :, None])
+    flags_o, prob_o = gaussian.detect_rows(mu, sigma2, epsilon, originals)
+    flags_s, prob_s = gaussian.detect_rows(mu, sigma2, epsilon, synthesized)
     reports = build_report(compression, originals, synthesized, flags_o, flags_s)
     return reports, prob_o, prob_s
 
 
 def compare_windows(
-    values,
-    registers: list[ReducedRegister],
-    *,
-    model: gaussian.GaussianModel | None = None,
-    quantile: float = 0.01,
+    values, registers: list[ReducedRegister], model: gaussian.GaussianModel
 ) -> Comparison:
     """Judge register r against window r of the series, for every register.
 
-    A model, such as one fitted and calibrated on a training prefix of the
-    series, scores every window with its epsilon; with model None, each
-    window is scored by a model fitted on its own original samples at the
-    given quantile.  The same model and epsilon always score both versions
-    of a window.  The windows, all of one length, are fitted, scored and
-    reported as one batch.
+    The calibrated model, such as one fitted on a training prefix of the
+    series or on all of it, scores both versions of every window with its
+    epsilon.  The windows, all of one length, are scored and reported as
+    one batch.
 
     The filter bank is orthonormal, so a window's energy equals its
     register's level-1 ledger pair, ``kept + discarded``, and the energy of
@@ -117,7 +111,7 @@ def compare_windows(
             a window or its rebuild does not match its register's ledger.
     """
     x = np.asarray(values, dtype=np.float64)
-    if model is not None and model.epsilon is None:
+    if model.epsilon is None:
         raise InsufficientDataError("model has no threshold; run calibrate() first")
     synthesized = synthesize_windows(registers)
     k, n = synthesized.shape
@@ -141,14 +135,10 @@ def compare_windows(
                 f"window {r} differs from its rebuild from register {r} by energy "
                 f"{error!r}, but the register's ledger discards {discarded!r}"
             )
-    if model is None:
-        mu, sigma2, epsilon = fit_row_models(originals, quantile)
-    else:
-        mu, sigma2 = model.mu[None], model.sigma2[None]
-        epsilon = np.full(k, model.epsilon)
+    epsilon = np.full(k, model.epsilon)
     reports, prob_o, prob_s = judge_windows(
-        originals, synthesized, [compression_ratio(r) for r in registers], mu, sigma2,
-        epsilon,
+        originals, synthesized, [compression_ratio(r) for r in registers],
+        model.mu, model.sigma2, epsilon,
     )
     for matrix in (originals, synthesized, prob_o, prob_s):
         matrix.setflags(write=False)

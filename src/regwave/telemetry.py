@@ -210,7 +210,16 @@ class SwitchSim:
         Returns:
             (timestamps, columns): the time at the end of each tick, and per
             port a dict of int64 counter columns keyed by COUNTER_FIELDS.
+
+        Raises:
+            InputError: n_ticks not an integer in [0, MAX_TICKS], or dt not
+                positive and finite.
         """
+        if (isinstance(n_ticks, bool) or not isinstance(n_ticks, (int, np.integer))
+                or not 0 <= n_ticks <= MAX_TICKS):
+            raise InputError(
+                f"n_ticks must be an integer in [0, {MAX_TICKS}], got {n_ticks!r}"
+            )
         if not 0 < dt < math.inf:
             raise InputError(f"dt must be positive and finite, got {dt}")
         ports = sorted(self.profiles)

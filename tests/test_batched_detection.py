@@ -2,9 +2,9 @@
 
 The reference below fits, thresholds, scores and reports one window at a
 time, the way compare and the preservation suite did before detection was
-batched: a single-feature model fitted on a 1-D slice, a threshold from
-``np.quantile`` of that window's scores, and a report built from sets of
-flagged indices.  Every float must come out identical, not merely close.
+batched: a model fitted on a 1-D slice, a threshold from ``np.quantile`` of
+that window's scores, and a report built from sets of flagged indices.
+Every float must come out identical, not merely close.
 """
 
 import dataclasses
@@ -17,8 +17,13 @@ from regwave import suite
 from regwave.errors import UndefinedMetricError
 from regwave.gaussian import calibrate, fit, fit_rows
 from regwave.metrics import ComparisonReport
-from regwave.pipeline import compare_windows, reduce_series
-from regwave.reducer import ReductionPolicy, compression_ratio, synthesize
+from regwave.pipeline import compare_windows, fit_row_models, judge_windows, reduce_series
+from regwave.reducer import (
+    ReductionPolicy,
+    compression_ratio,
+    synthesize,
+    synthesize_windows,
+)
 from regwave.telemetry import SwitchSim, TrafficProfile, deltas, poll
 from regwave.wavelets import make_filter_pair
 
@@ -109,40 +114,76 @@ def prefix_model(train, quantile):
     return calibrate(fit(train), train, quantile)
 
 
-def _compare_both(series, registers, source, quantile, rng):
-    kwargs = {"quantile": quantile}
-    ref_kwargs = dict(kwargs)
-    if source == "model":
-        kwargs["model"] = ref_kwargs["model"] = prefix_model(bursty(rng, 300), quantile)
-    elif source == "train":
-        # The reference fits its own model on the prefix.
-        ref_kwargs["train"] = train = max(2, series.shape[0] // 2)
-        kwargs["model"] = prefix_model(series[:train], quantile)
-    return (
-        compare_windows(series, registers, **kwargs),
-        ref_compare(series, registers, **ref_kwargs),
+def judge_row_models(values, registers, *, quantile):
+    """The suite's path: each window scored by a model fitted on its own
+    samples, every window in one batch.  Returns ``(mu, sigma2, epsilon,
+    reports, probs_o, probs_s)``."""
+    synthesized = synthesize_windows(registers)
+    k, n = synthesized.shape
+    originals = np.asarray(values, dtype=np.float64)[: k * n].reshape(k, n).copy()
+    mu, sigma2, epsilon = fit_row_models(originals, quantile)
+    compression = [compression_ratio(r) for r in registers]
+    reports, probs_o, probs_s = judge_windows(
+        originals, synthesized, compression, mu, sigma2, epsilon
     )
+    return mu, sigma2, epsilon, reports, probs_o, probs_s
 
 
-@pytest.mark.parametrize("source", SOURCES)
-@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
-@pytest.mark.parametrize("rows", [1, 3, 37])
-def test_batched_compare_equals_the_per_window_reference(rows, n, source):
+def windowed(rows, n):
+    """A bursty series of rows n-sample windows and half a window more,
+    reduced; with rows > 1, window 1 is constant and takes the variance
+    floor."""
     rng = np.random.default_rng(rows * 1000 + n)
     filters = make_filter_pair("haar" if n < 4 else "db2")
     series = bursty(rng, rows * n + n // 2)
     if rows > 1:
-        series[n : 2 * n] = 7_000.0  # a constant window takes the variance floor
+        series[n : 2 * n] = 7_000.0
     depth = 1 if n < 8 else 2
     registers, _ = reduce_series(series, filters, ReductionPolicy(max_depth=depth), n)
     assert len(registers) == rows
-    comp, reference = _compare_both(series, registers, source, 0.05, rng)
+    return series, registers, rng
+
+
+@pytest.mark.parametrize("source", SOURCES[:2])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("rows", [1, 3, 37])
+def test_batched_compare_equals_the_per_window_reference(rows, n, source):
+    series, registers, rng = windowed(rows, n)
+    if source == "model":
+        model = prefix_model(bursty(rng, 300), 0.05)
+        reference = ref_compare(series, registers, model=model)
+    else:  # the reference fits its own model on the prefix
+        train = max(2, series.shape[0] // 2)
+        model = prefix_model(series[:train], 0.05)
+        reference = ref_compare(series, registers, train=train, quantile=0.05)
+    comp = compare_windows(series, registers, model)
     assert_same(comp, reference)
     # The originals are the series' windows, copied out of it.
     assert np.array_equal(comp.original, series[: rows * n].reshape(rows, n))
     assert not np.shares_memory(comp.original, series)
-    if source == "per-window" and n >= 32:  # the 5% quantile is above the minimum
-        assert any(report.flags_original for report in comp.reports)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("rows", [1, 3, 37])
+def test_row_models_equal_the_per_window_reference(rows, n):
+    series, registers, _ = windowed(rows, n)
+    mu, sigma2, epsilon, reports, probs_o, probs_s = judge_row_models(
+        series, registers, quantile=0.05
+    )
+    reference = ref_compare(series, registers, quantile=0.05)
+    for r, (eps, ref_o, ref_s, report) in enumerate(reference):
+        original = series[r * n : (r + 1) * n]
+        ref_mu, ref_sigma2, _ = ref_model(original, 0.05)
+        assert (mu[r], sigma2[r], epsilon[r]) == (ref_mu[0], ref_sigma2[0], eps)
+        assert np.array_equal(probs_o[r], ref_probabilities(ref_mu, ref_sigma2, original))
+        assert np.array_equal(probs_o[r], ref_o)
+        assert np.array_equal(probs_s[r], ref_s)
+        assert reports[r] == report
+    if rows > 1:
+        floor = 1e-12 * (1.0 + 7_000.0**2)
+        assert (mu[1], sigma2[1]) == (7_000.0, floor)
+    if n >= 32:  # the 5% quantile is above the minimum
+        assert any(report.flags_original for report in reports)
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -152,26 +193,27 @@ def test_all_zero_window_raises_as_before(source):
     series = bursty(rng, 3 * 64)
     series[64:128] = 0.0
     registers, _ = reduce_series(series, filters, ReductionPolicy(max_depth=1), 64)
-    kwargs = {"model": prefix_model(bursty(rng, 100), 0.05)} if source == "model" else {}
-    ref_kwargs = dict(kwargs)
-    if source == "train":
-        ref_kwargs["train"] = 64
-        kwargs["model"] = prefix_model(series[:64], 0.01)
-    for compare, args in ((compare_windows, kwargs), (ref_compare, ref_kwargs)):
+    if source == "per-window":
+        calls = [(judge_row_models, {"quantile": 0.01}), (ref_compare, {})]
+    else:
+        ref_kwargs = ({"model": prefix_model(bursty(rng, 100), 0.05)}
+                      if source == "model" else {"train": 64})
+        model = ref_kwargs.get("model") or prefix_model(series[:64], 0.01)
+        calls = [(compare_windows, {"model": model}), (ref_compare, ref_kwargs)]
+    for compare, kwargs in calls:
         with pytest.raises(UndefinedMetricError,
                            match="prd is undefined for an all-zero reference"):
-            compare(series, registers, **args)
+            compare(series, registers, **kwargs)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 37])
 def test_fit_rows_equals_fit_of_each_row(rows):
     rng = np.random.default_rng(rows)
-    stack = rng.normal(size=(rows, 200, 2)) * [1.0, 1e6]
+    stack = rng.normal(size=(rows, 200)) * np.where(np.arange(rows) % 2, 1e6, 1.0)[:, None]
     mu, sigma2 = fit_rows(stack)
     for r in range(rows):
         model = fit(stack[r])
-        assert np.array_equal(mu[r], model.mu)
-        assert np.array_equal(sigma2[r], model.sigma2)
+        assert (mu[r], sigma2[r]) == (model.mu, model.sigma2)
 
 
 def ref_run_case(case):

@@ -681,6 +681,23 @@ def test_counter_beyond_int64_exits_two(tmp_path, capsys):
     assert f"{csv}:3:" in err and "int64" in err
 
 
+@pytest.mark.parametrize("verb", ["reduce", "detect"])
+def test_delta_above_two_to_the_53_exits_two(tmp_path, capsys, verb):
+    # 2**53 + 1 is the first integer float64 cannot hold; it would round.
+    csv = tmp_path / "steep.csv"
+    rows = [5, 5 + 2**53, 5 + 2**53, 6 + 2**54] + [6 + 2**54] * 4
+    csv.write_text("tick,timestamp_s,value\n" + "".join(
+        f"{i + 1},{10.0 * (i + 1)},{v}\n" for i, v in enumerate(rows)))
+    out = tmp_path / "out"
+    argv = [verb, str(csv), "--out", str(out), *(["--window", "4"] if verb == "reduce" else [])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{csv}: delta 2 is {2**53 + 1}, above 2**53" in err
+    assert not out.exists()
+    csv.write_text(csv.read_text().replace(str(6 + 2**54), str(5 + 2**54)))
+    assert main(argv) == 0  # 2**53 itself is exact
+
+
 def _register(path):
     path.write_text("tick,timestamp_s,value\n1,10.0,0\n2,20.0,5\n3,30.0,9\n")
     return str(path)
@@ -826,6 +843,7 @@ def test_model_without_epsilon_exits_two(round_trip_inputs, tmp_path, capsys, ve
 
 MODEL_TYPES = "model needs arrays of numbers mu and sigma2"
 MODEL_FINITE = "mu, sigma2, epsilon and quantile must be finite"
+MODEL_ONE = "mu and sigma2 must each hold one number"
 
 
 @pytest.mark.parametrize("verb", ["detect", "compare"])
@@ -838,11 +856,12 @@ MODEL_FINITE = "mu, sigma2, epsilon and quantile must be finite"
     ("sigma2", [float("inf")], MODEL_FINITE), ("epsilon", float("nan"), MODEL_FINITE),
     ("epsilon", float("inf"), MODEL_FINITE), ("quantile", float("nan"), MODEL_FINITE),
     ("quantile", float("-inf"), MODEL_FINITE), ("epsilon", None, MODEL_TYPES),
-    ("quantile", None, MODEL_TYPES),
+    ("quantile", None, MODEL_TYPES), ("mu", [1.0, 2.0], MODEL_ONE),
+    ("sigma2", [], MODEL_ONE), ("sigma2", [0.0], "sigma2 must be positive"),
 ], ids=["epsilon_abc", "epsilon_array", "epsilon_string", "epsilon_bool", "quantile_object",
         "mu_string", "mu_beyond_float", "mu_nan", "sigma2_nan", "sigma2_inf", "epsilon_nan",
         "epsilon_inf", "quantile_nan", "quantile_minus_inf", "epsilon_null",
-        "quantile_null"])
+        "quantile_null", "mu_two_features", "sigma2_empty", "sigma2_zero"])
 def test_malformed_model_value_exits_two(round_trip_inputs, tmp_path, capsys,
                                         verb, key, value, message):
     model = json.loads(Path(round_trip_inputs["model"]).read_text())
@@ -851,7 +870,7 @@ def test_malformed_model_value_exits_two(round_trip_inputs, tmp_path, capsys,
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([verb, *round_trip_inputs[verb], "--model", str(path), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    assert f"{path}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -929,8 +948,18 @@ def test_compare_report_records_the_models_quantile(round_trip_inputs, tmp_path)
     assert json.loads((out / "report.json").read_text())["quantile"] == 0.05
 
 
+def test_default_compare_fits_on_the_whole_series(round_trip_inputs, tmp_path):
+    register, red = round_trip_inputs["compare"]
+    _, _, counters = read_register_csv(register)
+    whole = ["--train", str(counters.shape[0] - 1)]
+    for name, flags in (("default", []), ("whole", whole)):
+        assert main(["compare", register, red, *flags, "--out", str(tmp_path / name)]) == 0
+    report = (tmp_path / "default" / "report.json").read_bytes()
+    assert report == (tmp_path / "whole" / "report.json").read_bytes()
+
+
 @pytest.mark.parametrize("flags, fitted_on", [
-    ([], "window"), (["--train", "128"], "prefix"), (["--model", "MODEL"], "model"),
+    ([], "whole-series"), (["--train", "128"], "prefix"), (["--model", "MODEL"], "model"),
 ])
 def test_compare_scores_with_the_model_its_flags_pick(round_trip_inputs, tmp_path, flags,
                                                       fitted_on):
@@ -942,7 +971,7 @@ def test_compare_scores_with_the_model_its_flags_pick(round_trip_inputs, tmp_pat
     series = np.diff(counters).astype(np.float64)
     saved = json.loads(Path(round_trip_inputs["model"]).read_text())["epsilon"]
     for r, window in enumerate(json.loads((out / "report.json").read_text())["windows"]):
-        train = {"window": series[64 * r : 64 * (r + 1)], "prefix": series[:128]}.get(fitted_on)
+        train = {"whole-series": series, "prefix": series[:128]}.get(fitted_on)
         expected = saved if train is None else calibrate(fit(train), train, 0.01).epsilon
         assert window["epsilon"] == expected
 

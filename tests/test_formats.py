@@ -174,19 +174,12 @@ def test_reduced_file_rejects_non_finite_numbers(tmp_path, key, position, value)
 
 def test_model_file_round_trip(tmp_path):
     path = tmp_path / "model.json"
-    model = GaussianModel(
-        mu=np.array([3.5, -1.25]),
-        sigma2=np.array([2.0, 0.5]),
-        epsilon=1.25e-9,
-        quantile=0.01,
-    )
+    model = GaussianModel(mu=-1.25, sigma2=0.5, epsilon=1.25e-9, quantile=0.01)
     write_model_file(path, model, training_window="series.csv[0:512)")
-    loaded = read_model_file(path)
-    assert np.array_equal(loaded.mu, model.mu)
-    assert np.array_equal(loaded.sigma2, model.sigma2)
-    assert loaded.epsilon == model.epsilon
-    assert loaded.quantile == model.quantile
-    assert json.loads(path.read_text())["training_window"] == "series.csv[0:512)"
+    assert read_model_file(path) == model
+    doc = json.loads(path.read_text())
+    assert (doc["mu"], doc["sigma2"]) == ([-1.25], [0.5])
+    assert doc["training_window"] == "series.csv[0:512)"
 
 
 def test_model_file_validates_shapes(tmp_path):
@@ -202,7 +195,7 @@ def test_model_file_validates_shapes(tmp_path):
             }
         )
     )
-    with pytest.raises(ParseError, match="equal-length"):
+    with pytest.raises(ParseError, match="mu and sigma2 must each hold one number"):
         read_model_file(path)
 
 

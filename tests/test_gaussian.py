@@ -28,14 +28,14 @@ def sort_index_oracle(probs, q):
 
 def test_fit_hand_values():
     model = fit(np.array([2.0, 4.0, 6.0]))
-    assert model.mu[0] == pytest.approx(4.0, abs=1e-15)
-    assert model.sigma2[0] == pytest.approx(8.0 / 3.0, abs=1e-15)
+    assert model.mu == pytest.approx(4.0, abs=1e-15)
+    assert model.sigma2 == pytest.approx(8.0 / 3.0, abs=1e-15)
 
 
 def test_constant_feature_gets_the_variance_floor():
     model = fit(np.array([7.0, 7.0, 7.0, 7.0]))
-    assert model.mu[0] == 7.0
-    assert model.sigma2[0] == pytest.approx(1e-12 * (1 + 49.0), rel=1e-12)
+    assert model.mu == 7.0
+    assert model.sigma2 == pytest.approx(1e-12 * (1 + 49.0), rel=1e-12)
 
 
 def test_fit_matches_two_pass_oracle_on_large_sample():
@@ -43,11 +43,11 @@ def test_fit_matches_two_pass_oracle_on_large_sample():
     x = rng.normal(loc=100.0, scale=5.0, size=10_000)
     model = fit(x)
     mean, var = two_pass_oracle(list(x))
-    assert abs(model.mu[0] - mean) <= 1e-12 * max(1.0, abs(mean))
-    assert abs(model.sigma2[0] - var) <= 1e-12 * max(1.0, abs(var))
+    assert abs(model.mu - mean) <= 1e-12 * max(1.0, abs(mean))
+    assert abs(model.sigma2 - var) <= 1e-12 * max(1.0, abs(var))
     # Statistical sanity: within 3 standard errors of the true parameters.
-    assert abs(model.mu[0] - 100.0) < 3 * 5.0 / math.sqrt(10_000)
-    assert abs(model.sigma2[0] - 25.0) < 3 * 25.0 * math.sqrt(2.0 / 10_000)
+    assert abs(model.mu - 100.0) < 3 * 5.0 / math.sqrt(10_000)
+    assert abs(model.sigma2 - 25.0) < 3 * 25.0 * math.sqrt(2.0 / 10_000)
 
 
 def test_fit_rejects_small_or_bad_input():
@@ -58,37 +58,35 @@ def test_fit_rejects_small_or_bad_input():
 
 
 def density(mu, sigma2, samples):
-    """Densities of one row of samples, shape (m, k), under one (k,) model."""
+    """Densities of one row of samples, shape (m,), under one model."""
     log_p = log_probability_rows(np.array([mu]), np.array([sigma2]), np.array([samples]))
     return np.exp(log_p[0])
 
 
 def test_density_at_the_mean():
-    assert density([0.0], [1.0], [[0.0]])[0] == pytest.approx(
+    assert density(0.0, 1.0, [0.0])[0] == pytest.approx(
         1.0 / math.sqrt(2 * math.pi), rel=1e-12
     )
 
 
-def test_two_features_multiply():
-    assert density([1.0, -1.0], [1.0, 1.0], [[1.0, -1.0]])[0] == pytest.approx(
-        1.0 / (2 * math.pi), rel=1e-12
-    )
-
-
 def test_three_sigma_density():
-    assert density([0.0], [1.0], [[3.0]])[0] == pytest.approx(
+    assert density(0.0, 1.0, [3.0])[0] == pytest.approx(
         math.exp(-4.5) / math.sqrt(2 * math.pi), rel=1e-12
     )
 
 
 def test_probability_shrinks_away_from_the_mean():
-    values = density([0.0], [2.0], [[0.0], [0.5], [1.0], [2.0], [4.0]])
+    values = density(0.0, 2.0, [0.0, 0.5, 1.0, 2.0, 4.0])
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_feature_count_mismatch_rejected():
-    with pytest.raises(LengthError):
-        density([0.0, 0.0], [1.0, 1.0], np.zeros((4, 3)))
+@pytest.mark.parametrize("shape", [(), (4, 1), (1, 4)])
+def test_fit_calibrate_and_detect_take_a_series(shape):
+    train = np.array([1.0, 2.0, 3.0, 4.0])
+    model = calibrate(fit(train), train)
+    for call in (fit, lambda x: calibrate(model, x), lambda x: detect(model, x)):
+        with pytest.raises(LengthError, match="expected a 1-D series"):
+            call(np.ones(shape))
 
 
 def test_threshold_of_a_small_set_is_its_minimum():
@@ -131,7 +129,7 @@ def test_single_outlier_is_the_only_flag():
                               rng.uniform(-0.5, 0.5, size=55)])
     report = detect(model, samples)
     assert list(report.flagged_indices()) == [100]
-    brute = [density(model.mu, model.sigma2, [[v]])[0] < model.epsilon for v in samples]
+    brute = [density(model.mu, model.sigma2, [v])[0] < model.epsilon for v in samples]
     assert list(np.flatnonzero(brute)) == [100]
 
 
@@ -148,8 +146,8 @@ def test_fit_is_translation_equivariant():
     x = rng.normal(size=400)
     base = fit(x)
     shifted = fit(x + 1000.0)
-    assert abs(shifted.mu[0] - base.mu[0] - 1000.0) <= 1e-9
-    assert abs(shifted.sigma2[0] - base.sigma2[0]) <= 1e-9
+    assert abs(shifted.mu - base.mu - 1000.0) <= 1e-9
+    assert abs(shifted.sigma2 - base.sigma2) <= 1e-9
 
 
 def test_flags_survive_consistent_rescaling():

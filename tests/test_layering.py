@@ -141,3 +141,26 @@ def test_cli_indexes_no_file_document():
     assert string_keyed_subscripts('meta["n"]\nx[0]\nf"{doc[\'k\']}"\n') == ["meta", "doc"]
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert set(string_keyed_subscripts(source)) == {"doc"}
+
+
+def feature_axis_uses(source: str) -> list[str]:
+    """Every name as_feature_matrix or per_window that the source defines,
+    imports or reads, and every subscript that appends a feature axis,
+    ``[:, :, None]``.  The detector scores one series, in ``(rows, m)``
+    stacks, and compare always scores with one calibrated model."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and ast.unparse(node).endswith("[:, :, None]"):
+            found.append(ast.unparse(node))
+        names = (getattr(node, field, None) for field in ("id", "attr", "arg", "name"))
+        found += [name for name in names if name in ("as_feature_matrix", "per_window")]
+    return found
+
+
+def test_the_detector_has_no_feature_axis_and_no_per_window_fit():
+    source = ("from .gaussian import as_feature_matrix\ndef f(x, per_window):\n"
+              "    return g(x[:,:,None], per_window=args.per_window)\n")
+    assert sorted(feature_axis_uses(source)) == [
+        "as_feature_matrix", "per_window", "per_window", "per_window", "x[:, :, None]"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert feature_axis_uses(path.read_text(encoding="utf-8")) == [], path.name

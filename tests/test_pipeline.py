@@ -43,11 +43,15 @@ def test_reduce_series_needs_one_full_window():
         reduce_series(np.ones(100), fp, ReductionPolicy(max_depth=1), 256)
 
 
+def whole_series_model(series):
+    return calibrate(fit(series), series, quantile=0.01)
+
+
 def test_lossless_window_compares_clean():
     fp = make_filter_pair("haar")
     series = np.full(64, 100.0)
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 64)
-    [report] = compare_windows(series, registers, quantile=0.01).reports
+    [report] = compare_windows(series, registers, whole_series_model(series)).reports
     # A constant register is pure approximation; only rounding survives.
     assert report.rmse <= 1e-9
     assert report.prd <= 1e-9
@@ -60,7 +64,7 @@ def test_white_noise_error_energy_matches_discarded():
     rng = np.random.default_rng(44)
     series = rng.normal(size=256)
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 256)
-    comp = compare_windows(series, registers)
+    comp = compare_windows(series, registers, whole_series_model(series))
     residual = comp.reports[0].rmse**2 * 256
     assert abs(residual - registers[0].discarded_energy()) <= 1e-9
     assert abs(residual - energy(series - comp.synthesized[0])) <= 1e-9
@@ -103,19 +107,21 @@ def test_window_beyond_series_is_an_alignment_error():
     fp = make_filter_pair("haar")
     series = np.ones(384)
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=1), 128)
+    model = whole_series_model(series)
     with pytest.raises(AlignmentError, match=r"window 0 spans \[0, 128\)"):
-        compare_windows(series[:100], registers[:1])
+        compare_windows(series[:100], registers[:1], model)
     with pytest.raises(AlignmentError, match=r"window 2 spans \[256, 384\) .* 383 samples"):
-        compare_windows(series[:383], registers)
+        compare_windows(series[:383], registers, model)
 
 
 def test_window_not_reduced_into_its_register_is_an_alignment_error():
     fp = make_filter_pair("db2")
     series = np.random.default_rng(17).normal(size=3 * 64)
     registers, _ = reduce_series(series, fp, ReductionPolicy(max_depth=2), 64)
+    model = whole_series_model(series)
     other = series.copy()
     other[64:] *= 1.0 + 1e-8  # window energies grow by 2e-8 relative
     with pytest.raises(AlignmentError, match=r"window 1 holds energy .*: it was not reduced"):
-        compare_windows(other, registers)
+        compare_windows(other, registers, model)
     other[64:] = series[64:] * (1.0 + 1e-11)  # within LEDGER_RTOL
-    assert len(compare_windows(other, registers).reports) == 3
+    assert len(compare_windows(other, registers, model).reports) == 3

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,17 @@ def test_poll_refuses_non_finite_time(interval, duration):
 def test_run_refuses_a_non_finite_dt(dt):
     with pytest.raises(InputError, match=f"dt must be positive and finite, got {dt}"):
         SwitchSim("s1", {1: steady()}, seed=0).run(3, dt)
+
+
+@pytest.mark.parametrize("n_ticks", (-1, 2.5, True, np.float64(3.0), "3", 6))
+def test_run_refuses_a_tick_count_it_cannot_simulate(monkeypatch, n_ticks):
+    monkeypatch.setattr(telemetry, "MAX_TICKS", 5)
+    sw = SwitchSim("s1", {1: steady()}, seed=0)
+    message = re.escape(f"n_ticks must be an integer in [0, 5], got {n_ticks!r}")
+    with pytest.raises(InputError, match=message):
+        sw.run(n_ticks, 10.0)
+    for n in (0, 5, np.int64(5)):
+        assert sw.run(n, 10.0)[0].shape == (n,)
 
 
 def test_poll_refuses_more_than_max_ticks_before_running(monkeypatch):
