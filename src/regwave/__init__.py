@@ -27,7 +27,6 @@ from .gaussian import (
 from .metrics import ComparisonReport
 from .reducer import (
     ReducedRegister,
-    ReductionPolicy,
     compression_ratio,
     decompose,
     decompose_windows,
@@ -70,7 +69,6 @@ __all__ = [
     "ParseError",
     "PolicyError",
     "ReducedRegister",
-    "ReductionPolicy",
     "RegisterStore",
     "RegwaveError",
     "SwitchSim",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, formats, gaussian, pipeline
 from .errors import AlignmentError, ContractError, InputError
-from .reducer import ReductionPolicy, family_and_length, synthesize_windows
+from .reducer import family_length_and_depth, synthesize_windows
 # No verb calls the single-window form any more, but it stays importable under
 # this name: perfbench's tracer test patches and restores it here.
 from .reducer import synthesize as synthesize_register  # noqa: F401
@@ -88,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--window", type=int, default=256, help="window size in samples (default 256)"
     )
-    p.add_argument(
-        "--min-energy-ratio",
-        type=float,
-        default=0.0,
-        help="stop descending when the kept child falls below this fraction "
-        "of parent energy (default 0, disabled)",
-    )
     p.set_defaults(func=cmd_reduce)
 
     p = subs.add_parser("synthesize", help="rebuild a series from a reduced file")
@@ -157,8 +150,7 @@ def _deltas(path) -> np.ndarray:
 def cmd_reduce(args) -> int:
     series = _deltas(args.register)
     filters = make_filter_pair(args.family)
-    policy = ReductionPolicy(max_depth=args.depth, min_energy_ratio=args.min_energy_ratio)
-    registers, dropped = pipeline.reduce_series(series, filters, policy, args.window)
+    registers, dropped = pipeline.reduce_series(series, filters, args.depth, args.window)
     if dropped:
         print(
             f"warning: {dropped} trailing samples do not fill a window and were "
@@ -166,21 +158,17 @@ def cmd_reduce(args) -> int:
             file=sys.stderr,
         )
     formats.write_reduced_file(
-        args.out, registers, policy, source=args.register, total_samples=series.shape[0]
+        args.out, registers, source=args.register, total_samples=series.shape[0]
     )
-    low, high = min(r.depth for r in registers), max(r.depth for r in registers)
-    depth, kept = f"{low}", f"{args.window >> low}"
-    if high > low:
-        depth, kept = f"{low}-{high}", f"{args.window >> high}-{kept}"
     print(
-        f"reduced {len(registers)} window(s) of {args.window} samples at depth {depth} "
-        f"to {kept} coefficients each in {args.out}"
+        f"reduced {len(registers)} window(s) of {args.window} samples at depth "
+        f"{args.depth} to {args.window >> args.depth} coefficients each in {args.out}"
     )
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    registers, _, _ = formats.read_reduced_file(args.reduced)
+    registers, _ = formats.read_reduced_file(args.reduced)
     rebuilt = synthesize_windows(registers)
     formats.write_series_csv(args.out, rebuilt.ravel(), label="synthesized")
     print(f"synthesized {len(registers)} window(s), {rebuilt.size} samples, in {args.out}")
@@ -239,7 +227,7 @@ def cmd_detect(args) -> int:
 
 def cmd_compare(args) -> int:
     series, model = _series_and_model(args)
-    registers, policy, total_samples = formats.read_reduced_file(args.reduced)
+    registers, total_samples = formats.read_reduced_file(args.reduced)
     if total_samples != series.shape[0]:
         raise AlignmentError(
             f"{args.register} holds {series.shape[0]} deltas, but {args.reduced} was "
@@ -247,19 +235,20 @@ def cmd_compare(args) -> int:
         )
     result = pipeline.compare_windows(series, registers, model)
     os.makedirs(args.out, exist_ok=True)
-    family, n = family_and_length(registers)
+    family, n, depth = family_length_and_depth(registers)
     doc = {
         "source": args.register,
         "reduced": args.reduced,
         "family": family,
         "window_size": n,
-        "depth": policy.max_depth,
+        "depth": depth,
         "quantile": model.quantile,
         "windows": [],
     }
-    for r, (rep, epsilon) in enumerate(zip(result.reports, result.epsilon.tolist())):
+    for r, rep in enumerate(result.reports):
         doc["windows"].append(
-            {"index": r, "start": r * n, "epsilon": epsilon, **dataclasses.asdict(rep)}
+            {"index": r, "start": r * n, "epsilon": result.epsilon,
+             **dataclasses.asdict(rep)}
         )
         for name, values, label in (
             ("original", result.original[r], "original"),

@@ -19,8 +19,8 @@ import warnings
 
 import numpy as np
 
-from .errors import InputError, ParseError, PolicyError
-from .reducer import ReducedRegister, ReductionPolicy, family_and_length
+from .errors import InputError, ParseError
+from .reducer import ReducedRegister, family_length_and_depth
 from .gaussian import GaussianModel
 from .wavelets import FAMILIES
 
@@ -266,22 +266,21 @@ def _series_rows(idx, values) -> str:
 
 
 def write_reduced_file(
-    path,
-    registers: list[ReducedRegister],
-    policy: ReductionPolicy,
-    *,
-    source: str,
-    total_samples: int,
+    path, registers: list[ReducedRegister], *, source: str, total_samples: int
 ) -> None:
-    """Write the registers that policy made from total_samples deltas, with
-    the family and window size that they share (see family_and_length)."""
-    family, window_size = family_and_length(registers)
+    """Write the registers made from total_samples deltas, with the family,
+    window size and depth that they share (see family_length_and_depth).
+
+    Every window descends to the file's depth, so min_energy_ratio, the
+    early-stop floor of older versions, is always 0.0; it is kept so that
+    files stay regwave.reduced/1."""
+    family, window_size, depth = family_length_and_depth(registers)
     doc = {
         "format": REDUCED_FORMAT,
         "family": family,
         "window_size": window_size,
-        "depth": policy.max_depth,
-        "min_energy_ratio": policy.min_energy_ratio,
+        "depth": depth,
+        "min_energy_ratio": 0.0,
         "source": source,
         "total_samples": total_samples,
         "dropped_samples": total_samples - len(registers) * window_size,
@@ -300,22 +299,21 @@ def write_reduced_file(
     write_json(path, doc)
 
 
-def read_reduced_file(path) -> tuple[list[ReducedRegister], ReductionPolicy, int]:
+def read_reduced_file(path) -> tuple[list[ReducedRegister], int]:
     """Read a reduced-register file; returns what write_reduced_file took:
-    the registers, window r at entry r, their policy and total_samples.
+    the registers, window r at entry r, and total_samples.
 
     Entry i must have index i, so windows are listed in order without gaps
     or repeats.  Each entry must hold fields of the JSON types README gives,
     make a valid ReducedRegister and agree with the envelope: its
     original_length is the file's window_size, its stored start is
-    ``index * window_size``, and its depth is the file's depth, or less when
-    a positive min_energy_ratio may have stopped its descent early.
+    ``index * window_size``, and its depth is the file's depth.
 
     Raises:
         ParseError: unreadable file, unknown family, an envelope without
             integer window_size, depth, total_samples and dropped_samples, a
-            string source, a depth and min_energy_ratio that make a
-            ReductionPolicy and a non-empty array of windows, a
+            string source, a depth of at least 1, a min_energy_ratio in
+            [0, 1] and a non-empty array of windows, a
             dropped_samples that is not ``total_samples - len(windows) *
             window_size`` in ``[0, window_size)``, or an entry that breaks
             the above, naming its window.
@@ -335,10 +333,10 @@ def read_reduced_file(path) -> tuple[list[ReducedRegister], ReductionPolicy, int
             f"{window_size!r}, {depth!r}, {total!r}, {dropped!r}, {floor!r}, {source!r}",
             path,
         )
-    try:
-        policy = ReductionPolicy(max_depth=depth, min_energy_ratio=floor)
-    except PolicyError as exc:
-        raise ParseError(str(exc), path) from None
+    if depth < 1:
+        raise ParseError(f"depth must be at least 1, got {depth}", path)
+    if not 0.0 <= floor <= 1.0:
+        raise ParseError(f"min_energy_ratio must lie in [0, 1], got {floor}", path)
     if type(doc.get("windows")) is not list:
         raise ParseError("windows must be an array", path)
     if not doc["windows"]:
@@ -379,19 +377,16 @@ def read_reduced_file(path) -> tuple[list[ReducedRegister], ReductionPolicy, int
         if start != index * window_size:
             raise ParseError(f"window {i}: start {start} is not index {i} * "
                              f"window_size {window_size}", path)
-        if register.depth > depth or (register.depth < depth and not floor > 0):
+        if register.depth != depth:
             raise ParseError(
                 f"window {i}: depth {register.depth} is not the file's depth {depth}", path
             )
         registers.append(register)
-    # Every window_size is now a power of two, so bit_length - 1 is its log2.
-    if depth > window_size.bit_length() - 1:
-        raise ParseError(f"depth {depth} exceeds log2 of the window_size {window_size}", path)
     if dropped != total - len(registers) * window_size or not 0 <= dropped < window_size:
         raise ParseError(f"dropped_samples {dropped} must equal total_samples {total} - "
                          f"{len(registers)} windows * {window_size} and lie in "
                          f"[0, {window_size})", path)
-    return registers, policy, total
+    return registers, total
 
 
 def write_model_file(path, model: GaussianModel, *, training_window: str) -> None:

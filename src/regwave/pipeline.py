@@ -20,7 +20,6 @@ from .metrics import ComparisonReport, build_report
 from .reducer import (
     LEDGER_RTOL,
     ReducedRegister,
-    ReductionPolicy,
     compression_ratio,
     decompose_windows,
     synthesize_windows,
@@ -31,7 +30,7 @@ from .wavelets import FilterPair, energies
 def reduce_series(
     values,
     filters: FilterPair,
-    policy: ReductionPolicy,
+    depth: int,
     window: int,
 ) -> tuple[list[ReducedRegister], int]:
     """Reduce every full window of a series; returns one register per window
@@ -45,17 +44,17 @@ def reduce_series(
             f"series of {x.shape[0]} samples holds no {window}-sample window"
         )
     matrix = x[: n_windows * window].reshape(n_windows, window)
-    return decompose_windows(matrix, filters, policy), dropped
+    return decompose_windows(matrix, filters, depth), dropped
 
 
 @dataclass(frozen=True)
 class Comparison:
     """Everything compare produces for k windows of n samples, plot series
-    included: entry r of reports and epsilon and row r of each read-only
-    ``(k, n)`` matrix belong to window r."""
+    included: entry r of reports and row r of each read-only ``(k, n)``
+    matrix belong to window r, and the model's one epsilon scored them all."""
 
     reports: list[ComparisonReport]
-    epsilon: np.ndarray
+    epsilon: float
     original: np.ndarray
     synthesized: np.ndarray
     prob_original: np.ndarray
@@ -74,8 +73,8 @@ def judge_windows(originals, synthesized, compression, mu, sigma2, epsilon):
     """Score both versions of every window with its row's model and report.
 
     originals and synthesized are C-contiguous ``(rows, n)`` matrices; row r
-    is scored by ``mu[r]``, ``sigma2[r]`` and ``epsilon[r]``, or a scalar mu
-    and sigma2 score every row.  Returns the reports plus the
+    is scored by ``mu[r]``, ``sigma2[r]`` and ``epsilon[r]``, or a scalar mu,
+    sigma2 and epsilon score every row.  Returns the reports plus the
     probabilities of the originals and of the synthesized windows, each
     ``(rows, n)``.
     """
@@ -135,11 +134,10 @@ def compare_windows(
                 f"window {r} differs from its rebuild from register {r} by energy "
                 f"{error!r}, but the register's ledger discards {discarded!r}"
             )
-    epsilon = np.full(k, model.epsilon)
     reports, prob_o, prob_s = judge_windows(
         originals, synthesized, [compression_ratio(r) for r in registers],
-        model.mu, model.sigma2, epsilon,
+        model.mu, model.sigma2, model.epsilon,
     )
     for matrix in (originals, synthesized, prob_o, prob_s):
         matrix.setflags(write=False)
-    return Comparison(reports, epsilon, originals, synthesized, prob_o, prob_s)
+    return Comparison(reports, model.epsilon, originals, synthesized, prob_o, prob_s)

@@ -7,9 +7,9 @@ reconstruction error is known without ever reconstructing: by orthonormality
 it equals the sum of everything that was thrown away.
 
 A register does not know where its window lies in a series: the batched
-functions take and return windows in order, so register r is row r.
-Reduction splits every row at each level under one mask of the rows still
-descending; synthesis rebuilds the registers of each depth as one group.
+functions take and return windows in order, so register r is row r.  Every
+window descends exactly to the requested depth, so reduction splits every
+row at each level and synthesis rebuilds all rows as one block.
 """
 
 from __future__ import annotations
@@ -26,28 +26,6 @@ from .wavelets import (
 
 # Largest relative gap between two energies that the ledger says are equal.
 LEDGER_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ReductionPolicy:
-    """How far to descend and when to stop early.
-
-    max_depth caps the number of analysis steps.  min_energy_ratio stops the
-    descent once the winning child would hold less than that fraction of its
-    parent's energy; the first step is always taken so a reduction is never
-    empty.
-    """
-
-    max_depth: int = 1
-    min_energy_ratio: float = 0.0
-
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise PolicyError(f"max_depth must be at least 1, got {self.max_depth}")
-        if not 0.0 <= self.min_energy_ratio <= 1.0:
-            raise PolicyError(
-                f"min_energy_ratio must lie in [0, 1], got {self.min_energy_ratio}"
-            )
 
 
 @dataclass(frozen=True)
@@ -112,78 +90,56 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def decompose(signal, filters: FilterPair, policy: ReductionPolicy) -> ReducedRegister:
+def decompose(signal, filters: FilterPair, depth: int) -> ReducedRegister:
     """Reduce one window to its strongest packet branch; see decompose_windows."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise LengthError(f"expected one window, got shape {x.shape}")
-    return decompose_windows(x[None, :], filters, policy)[0]
+    return decompose_windows(x[None, :], filters, depth)[0]
 
 
-def decompose_windows(
-    windows, filters: FilterPair, policy: ReductionPolicy
-) -> list[ReducedRegister]:
+def decompose_windows(windows, filters: FilterPair, depth: int) -> list[ReducedRegister]:
     """Reduce every row of a ``(windows, n)`` matrix to its strongest branch.
 
-    Each level splits the whole block and keeps, per row, the child holding
-    more energy; ties keep the approximation branch.  Rows do not mix, so
-    each row splits as it would alone, bit for bit.  Only rows in the active
-    mask gain a letter and a ledger pair; a row whose winner falls below the
-    policy's energy floor leaves the mask and keeps its parent block as its
-    coefficients.  Once the floor has stopped every row the descent ends, so
-    a block shorter than the filter is never split.  The window length n
-    must be a power of two with room for max_depth halvings.
+    Each of the depth levels splits the whole block and keeps, per row, the
+    child holding more energy; ties keep the approximation branch.  Rows do
+    not mix, so each row splits as it would alone, bit for bit.  The window
+    length n must be a power of two with room for depth halvings, and depth
+    at least 1.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 2:
         raise LengthError(f"expected a (windows, n) matrix, got shape {x.shape}")
     if not _is_power_of_two(x.shape[1]) or x.shape[1] < 2:
         raise LengthError(f"window length must be a power of two >= 2, got {x.shape[1]}")
-    if x.shape[1] >> policy.max_depth < 1:
-        raise PolicyError(
-            f"max_depth {policy.max_depth} exceeds log2 of the window length {x.shape[1]}"
-        )
+    if depth < 1:
+        raise PolicyError(f"depth must be at least 1, got {depth}")
+    if x.shape[1] >> depth < 1:
+        raise PolicyError(f"depth {depth} exceeds log2 of the window length {x.shape[1]}")
 
     paths = [""] * x.shape[0]
     ledgers: list[list[tuple[float, float]]] = [[] for _ in paths]
-    coeffs = [None] * x.shape[0]
-    active = np.ones(x.shape[0], dtype=bool)
-    block, block_energy = x, None
-    for level in range(1, policy.max_depth + 1):
+    block = x
+    for _ in range(depth):
         approx, detail = analysis_step(block, filters)
         e_lo, e_hi = energies(approx), energies(detail)
         high = e_hi > e_lo
-        kept = np.where(high, e_hi, e_lo)
-        # The energy floor only guards descents past the first level, so the
-        # result always carries at least one branch letter.
-        if level > 1:
-            stop = active & (kept < policy.min_energy_ratio * block_energy)
-            if stop.any():
-                block.setflags(write=False)
-                for r in np.flatnonzero(stop).tolist():
-                    coeffs[r] = block[r]
-                active &= ~stop
-                if not active.any():
-                    break
-        discarded = np.where(high, e_lo, e_hi)
-        rows = zip(active.tolist(), high.tolist(), kept.tolist(), discarded.tolist())
-        for r, (on, h, k, d) in enumerate(rows):
-            if on:
-                paths[r] += "H" if h else "L"
-                ledgers[r].append((k, d))
-        block, block_energy = np.where(high[:, None], detail, approx), kept
+        kept, discarded = np.where(high, e_hi, e_lo), np.where(high, e_lo, e_hi)
+        rows = zip(high.tolist(), kept.tolist(), discarded.tolist())
+        for r, (h, k, d) in enumerate(rows):
+            paths[r] += "H" if h else "L"
+            ledgers[r].append((k, d))
+        block = np.where(high[:, None], detail, approx)
     block.setflags(write=False)
-    for r in np.flatnonzero(active).tolist():
-        coeffs[r] = block[r]
     return [
         ReducedRegister(x.shape[1], filters.family, path, c, tuple(ledger))
-        for path, c, ledger in zip(paths, coeffs, ledgers)
+        for path, c, ledger in zip(paths, block, ledgers)
     ]
 
 
-def family_and_length(registers) -> tuple[str, int]:
-    """The family and original_length that a non-empty list of registers
-    shares: FamilyMismatchError or LengthError otherwise."""
+def family_length_and_depth(registers) -> tuple[str, int, int]:
+    """The family, original_length and depth that a non-empty list of
+    registers shares: FamilyMismatchError or LengthError otherwise."""
     families = sorted({reduced.family for reduced in registers})
     if not families:
         raise LengthError("no registers")
@@ -194,7 +150,10 @@ def family_and_length(registers) -> tuple[str, int]:
     lengths = sorted({reduced.original_length for reduced in registers})
     if len(lengths) > 1:
         raise LengthError(f"registers rebuild different lengths {lengths}")
-    return families[0], lengths[0]
+    depths = sorted({reduced.depth for reduced in registers})
+    if len(depths) > 1:
+        raise LengthError(f"registers were reduced to different depths {depths}")
+    return families[0], lengths[0], depths[0]
 
 
 def synthesize(reduced: ReducedRegister) -> np.ndarray:
@@ -207,26 +166,21 @@ def synthesize_windows(registers) -> np.ndarray:
 
     Discarded siblings enter as zero blocks, so each window is the orthogonal
     projection of its original window onto the kept branch's subspace.  The
-    registers share one family, whose filter bank rebuilds them, and one
-    length n.  The registers of each depth are rebuilt as one group, level by
-    level, and written back to their rows of a ``(windows, n)`` matrix; rows
-    do not mix, so a register rebuilds the same bits in any group.
+    registers share one family, whose filter bank rebuilds them, one length
+    n and one depth (see family_length_and_depth).  All registers are
+    rebuilt as one block, level by level, into a ``(windows, n)`` matrix;
+    rows do not mix, so a register rebuilds the same bits in any batch.
     """
-    family, n = family_and_length(registers)
+    family, _, depth = family_length_and_depth(registers)
     filters = make_filter_pair(family)
-    out = np.empty((len(registers), n))
-    for depth in {reduced.depth for reduced in registers}:
-        rows = [r for r, reduced in enumerate(registers) if reduced.depth == depth]
-        group = [registers[r] for r in rows]
-        current = np.array([reduced.coeffs for reduced in group], dtype=np.float64)
-        for level in range(depth, 0, -1):
-            high = np.array([reduced.path[level - 1] == "H" for reduced in group])[:, None]
-            zeros = np.zeros_like(current)
-            current = synthesis_step(
-                np.where(high, zeros, current), np.where(high, current, zeros), filters
-            )
-        out[rows] = current
-    return out
+    current = np.array([reduced.coeffs for reduced in registers], dtype=np.float64)
+    for level in range(depth, 0, -1):
+        high = np.array([reduced.path[level - 1] == "H" for reduced in registers])[:, None]
+        zeros = np.zeros_like(current)
+        current = synthesis_step(
+            np.where(high, zeros, current), np.where(high, current, zeros), filters
+        )
+    return current
 
 
 def compression_ratio(reduced: ReducedRegister) -> float:

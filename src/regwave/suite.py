@@ -20,12 +20,7 @@ import numpy as np
 
 from .metrics import ComparisonReport
 from .pipeline import fit_row_models, judge_windows
-from .reducer import (
-    ReductionPolicy,
-    compression_ratio,
-    decompose_windows,
-    synthesize_windows,
-)
+from .reducer import compression_ratio, decompose_windows, synthesize_windows
 from .telemetry import (
     AnomalyScenario,
     SwitchSim,
@@ -156,7 +151,7 @@ def run_case(case: PreservationCase) -> CaseResult:
     start = TRAIN_SAMPLES // WINDOW * WINDOW
     originals = np.ascontiguousarray(series[:, start : start + WINDOW])
     filters = make_filter_pair(FAMILY)
-    registers = decompose_windows(originals, filters, ReductionPolicy(max_depth=DEPTH))
+    registers = decompose_windows(originals, filters, DEPTH)
     mu, sigma2, epsilon = fit_row_models(series[:, :TRAIN_SAMPLES], QUANTILE)
     reports, _, _ = judge_windows(
         originals,

@@ -357,17 +357,28 @@ def deltas(snapshots) -> np.ndarray:
         InsufficientDataError: fewer than 2 snapshots.
         MonotonicityError: any decreasing step (counter wrap is out of scope
             and treated as a contract violation).
+        DataError: a rise of 2**63 or more, which no int64 delta holds.
     """
     values = np.asarray(snapshots, dtype=np.int64)
     if values.ndim != 1 or values.shape[0] < 2:
         raise InsufficientDataError(
             f"need at least 2 snapshots to difference, got {values.shape}"
         )
-    diff = np.diff(values)
-    if np.any(diff < 0):
-        where = int(np.flatnonzero(diff < 0)[0])
+    decreases = np.flatnonzero(values[1:] < values[:-1])
+    if decreases.size:
+        where = int(decreases[0])
         raise MonotonicityError(
             f"counter decreases at snapshot {where + 1}: "
+            f"{values[where]} -> {values[where + 1]}"
+        )
+    diff = np.diff(values)
+    # Without a decrease, a negative difference is a rise that wrapped.
+    wraps = np.flatnonzero(diff < 0)
+    if wraps.size:
+        where = int(wraps[0])
+        raise DataError(
+            f"counter rises by {int(values[where + 1]) - int(values[where])} at "
+            f"snapshot {where + 1}, beyond the int64 range of a delta: "
             f"{values[where]} -> {values[where + 1]}"
         )
     return diff

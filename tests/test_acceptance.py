@@ -14,7 +14,7 @@ import numpy as np
 from regwave.cli import main
 from regwave.formats import export_store
 from regwave.gaussian import fit, select_threshold
-from regwave.reducer import ReductionPolicy, compression_ratio, decompose, synthesize
+from regwave.reducer import compression_ratio, decompose, synthesize
 from regwave.scenario import load_scenario
 from regwave.suite import run_suite
 from regwave.telemetry import COUNTER_FIELDS, poll
@@ -42,13 +42,13 @@ def _pr_corpus():
 
 def test_criterion_1_depth_one_halves_the_window():
     rng = np.random.default_rng(11)
-    policy = ReductionPolicy(max_depth=1)
+    depth = 1
     ok = True
     for family in ("haar", "db2", "db3", "db4"):
         filters = make_filter_pair(family)
         window = rng.normal(size=256)
-        first = decompose(window, filters, policy)
-        second = decompose(window, filters, policy)
+        first = decompose(window, filters, depth)
+        second = decompose(window, filters, depth)
         ok &= first.coeffs.shape == (128,)
         ok &= compression_ratio(first) == 0.5
         ok &= first.path == second.path
@@ -60,7 +60,7 @@ def test_criterion_1_depth_one_halves_the_window():
     for _ in range(3):
         t0 = time.perf_counter()
         for window in windows:
-            decompose(window, filters, policy)
+            decompose(window, filters, depth)
         best = min(best, (time.perf_counter() - t0) / len(windows))
     ok &= best < 1e-3
     _report(
@@ -75,8 +75,8 @@ def test_criterion_2_two_stage_reduction_of_1024_samples():
     rng = np.random.default_rng(12)
     signal = rng.normal(size=1024)
     filters = make_filter_pair("db2")
-    reduced = decompose(signal, filters, ReductionPolicy(max_depth=2))
-    again = decompose(signal, filters, ReductionPolicy(max_depth=2))
+    reduced = decompose(signal, filters, 2)
+    again = decompose(signal, filters, 2)
     ok = (
         reduced.coeffs.shape == (256,)
         and compression_ratio(reduced) == 0.75
@@ -120,7 +120,7 @@ def test_criterion_4_energy_ledger_property():
         # Deepest level still needs a block at least one filter long.
         fits = int(np.log2(signal.shape[0] // len(filters))) + 1
         depth = min(3, fits)
-        reduced = decompose(signal, filters, ReductionPolicy(max_depth=depth))
+        reduced = decompose(signal, filters, depth)
         residual = signal - synthesize(reduced)
         worst_ledger = max(
             worst_ledger, abs(energy(residual) - reduced.discarded_energy())

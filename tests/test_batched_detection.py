@@ -18,12 +18,7 @@ from regwave.errors import UndefinedMetricError
 from regwave.gaussian import calibrate, fit, fit_rows
 from regwave.metrics import ComparisonReport
 from regwave.pipeline import compare_windows, fit_row_models, judge_windows, reduce_series
-from regwave.reducer import (
-    ReductionPolicy,
-    compression_ratio,
-    synthesize,
-    synthesize_windows,
-)
+from regwave.reducer import compression_ratio, synthesize, synthesize_windows
 from regwave.telemetry import SwitchSim, TrafficProfile, deltas, poll
 from regwave.wavelets import make_filter_pair
 
@@ -87,7 +82,7 @@ def ref_compare(values, registers, *, model=None, train=None, quantile=0.01):
 
 def assert_same(comp, reference):
     assert len(comp.reports) == len(reference)
-    assert comp.epsilon.tolist() == [eps for eps, _, _, _ in reference]
+    assert [comp.epsilon] * len(reference) == [eps for eps, _, _, _ in reference]
     for r, (_, probs_o, probs_s, report) in enumerate(reference):
         assert np.array_equal(comp.prob_original[r], probs_o)
         assert np.array_equal(comp.prob_synthesized[r], probs_s)
@@ -139,7 +134,7 @@ def windowed(rows, n):
     if rows > 1:
         series[n : 2 * n] = 7_000.0
     depth = 1 if n < 8 else 2
-    registers, _ = reduce_series(series, filters, ReductionPolicy(max_depth=depth), n)
+    registers, _ = reduce_series(series, filters, depth, n)
     assert len(registers) == rows
     return series, registers, rng
 
@@ -192,7 +187,7 @@ def test_all_zero_window_raises_as_before(source):
     filters = make_filter_pair("haar")
     series = bursty(rng, 3 * 64)
     series[64:128] = 0.0
-    registers, _ = reduce_series(series, filters, ReductionPolicy(max_depth=1), 64)
+    registers, _ = reduce_series(series, filters, 1, 64)
     if source == "per-window":
         calls = [(judge_row_models, {"quantile": 0.01}), (ref_compare, {})]
     else:
@@ -227,11 +222,10 @@ def ref_run_case(case):
     n = suite.TRAIN_SAMPLES + suite.WINDOW + 1
     store = poll([switch], interval=suite.INTERVAL, duration=suite.INTERVAL * n)
     filters = make_filter_pair(suite.FAMILY)
-    policy = ReductionPolicy(max_depth=suite.DEPTH)
     reports = {}
     for field in ("rx_bytes", "tx_bytes"):
         series = deltas(store.counter_series("s1", 1, field))
-        registers, _ = reduce_series(series, filters, policy, suite.WINDOW)
+        registers, _ = reduce_series(series, filters, suite.DEPTH, suite.WINDOW)
         reference = ref_compare(
             series, registers, train=suite.TRAIN_SAMPLES, quantile=suite.QUANTILE
         )

@@ -198,11 +198,8 @@ def _envelope_depth_5(doc):
     doc["depth"] = 5
 
 
-# The floor lets every depth-1 window stop above depth 9, which no window of
-# 64 samples reaches.
-def _depth_past_log2(doc):
-    doc["depth"] = 9
-    doc["min_energy_ratio"] = 0.5
+def _envelope_depth_0(doc):
+    doc["depth"] = 0
 
 
 # Entries listed out of order; each keeps its own consistent index and start.
@@ -338,7 +335,7 @@ ENVELOPE_TYPES = "envelope needs integer window_size and depth"
     (_envelope_window_32, "window 0: original_length 64 is not the file's window_size 32"),
     (_one_window_of_32, "window 0: original_length 32 is not the file's window_size 64"),
     (_envelope_depth_5, "window 0: depth 1 is not the file's depth 5"),
-    (_depth_past_log2, "depth 9 exceeds log2 of the window_size 64"),
+    (_envelope_depth_0, "depth must be at least 1, got 0"),
     (_windows_0_2, "window 1: index 2 is not its position 1 in windows"),
     (_windows_1_0, "window 0: index 1 is not its position 0 in windows"),
     (_windows_0_0, "window 1: index 0 is not its position 1 in windows"),
@@ -408,21 +405,23 @@ def test_a_whole_file_refusal_names_the_path_without_a_line(video_sim, tmp_path,
         assert err.startswith(f"error: {path}: {message}") and ":0:" not in err
 
 
-def test_only_an_energy_floor_lets_a_window_stop_above_the_file_depth(video_sim, tmp_path,
-                                                                      capsys):
+def test_a_window_above_the_file_depth_is_refused_whatever_the_floor(video_sim, tmp_path,
+                                                                     capsys):
     register = str(video_sim / "s1_p1_tx_bytes.csv")
-    red = tmp_path / "red.json"
-    assert main(["reduce", register, "--window", "64", "--depth", "4",
-                 "--min-energy-ratio", "0.9", "--out", str(red)]) == 0
-    doc = json.loads(red.read_text())
-    assert [w["path"] for w in doc["windows"]] == ["LLLL", "LL", "LLLL"]
-    assert main(["synthesize", str(red), "--out", str(tmp_path / "s.csv")]) == 0
-    assert main(["compare", register, str(red), "--out", str(tmp_path / "c")]) == 0
-    doc["min_energy_ratio"] = 0.0
-    red.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["synthesize", str(red), "--out", str(tmp_path / "s0.csv")]) == 2
-    assert "window 1: depth 2 is not the file's depth 4" in capsys.readouterr().err
+    deep, shallow = tmp_path / "deep.json", tmp_path / "shallow.json"
+    for path, depth in ((deep, "4"), (shallow, "2")):
+        assert main(["reduce", register, "--window", "64", "--depth", depth,
+                     "--out", str(path)]) == 0
+    # A file as the old energy floor wrote it: window 1 stopped at depth 2.
+    doc = json.loads(deep.read_text())
+    doc["min_energy_ratio"] = 0.9
+    doc["windows"][1] = json.loads(shallow.read_text())["windows"][1]
+    deep.write_text(json.dumps(doc))
+    for verb, argv in (("synthesize", [str(deep)]), ("compare", [register, str(deep)])):
+        capsys.readouterr()
+        assert main([verb, *argv, "--out", str(tmp_path / verb)]) == 2
+        assert "window 1: depth 2 is not the file's depth 4" in capsys.readouterr().err
+        assert not (tmp_path / verb).exists()
 
 
 def test_detect_writes_model_and_flags(video_sim, tmp_path):
@@ -586,10 +585,43 @@ def test_depth_out_of_range_exits_two(video_sim, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_depth_below_one_exits_two(video_sim, tmp_path, capsys, depth):
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--depth", depth,
+                 "--window", "64", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: depth must be at least 1, got {depth}\n"
+    assert not out.exists()
+
+
+def test_reduce_refuses_an_energy_floor(video_sim, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", str(video_sim / "s1_p1_tx_bytes.csv"), "--window", "64",
+              "--min-energy-ratio", "0.5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --min-energy-ratio 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decreasing_counters_exit_three(tmp_path):
     csv = tmp_path / "bad.csv"
     csv.write_text("tick,timestamp_s,value\n1,10.0,100\n2,20.0,40\n")
     assert main(["reduce", str(csv), "--out", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.parametrize("verb", ["reduce", "detect"])
+def test_a_counter_step_past_int64_exits_two(tmp_path, capsys, verb):
+    csv = tmp_path / "wrap.csv"
+    csv.write_text("tick,timestamp_s,value\n1,10.0,-9223372036854775808\n"
+                   "2,20.0,9223372036854775807\n3,30.0,9223372036854775807\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([verb, str(csv), "--out", str(out)]) == 2
+    assert "counter rises by 18446744073709551615 at snapshot 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_misaligned_compare_exits_three(video_sim, tmp_path):
@@ -723,7 +755,7 @@ def test_non_utf8_input_exits_two(tmp_path, capsys, name, argv):
 
 VERB_FLAGS = {
     "simulate": {"--seed", "--out", "--interval", "--server-ports-only"},
-    "reduce": {"--out", "--family", "--depth", "--window", "--min-energy-ratio"},
+    "reduce": {"--out", "--family", "--depth", "--window"},
     "synthesize": {"--out"},
     "detect": {"--out", "--train", "--model", "--quantile"},
     "compare": {"--out", "--train", "--model", "--quantile"},
@@ -757,7 +789,7 @@ def test_each_verb_takes_exactly_its_flags():
     parser, verbs = _verb_parsers()
     assert _options(parser) == {"--version"}
     assert {verb: _options(p) for verb, p in verbs.items()} == VERB_FLAGS
-    assert sum(map(len, VERB_FLAGS.values())) == 18
+    assert sum(map(len, VERB_FLAGS.values())) == 17
     assert len(DROPPED) == 23
 
 
@@ -925,14 +957,6 @@ def test_reduce_summary_states_the_depths_and_coefficients_of_every_window(
 ):
     register = round_trip_inputs["detect"][0]
     capsys.readouterr()
-    assert main(["reduce", register, "--family", "haar", "--depth", "4",
-                 "--min-energy-ratio", "0.99", "--window", "64", "--out",
-                 str(tmp_path / "mixed.json")]) == 0
-    paths = [w["path"] for w in json.loads((tmp_path / "mixed.json").read_text())["windows"]]
-    assert sorted(map(len, paths)) == [1, 2, 4]
-    assert "3 window(s) of 64 samples at depth 1-4 to 4-32 coefficients each" in (
-        capsys.readouterr().out
-    )
     assert main(["reduce", register, "--depth", "2", "--window", "64", "--out",
                  str(tmp_path / "even.json")]) == 0
     assert "3 window(s) of 64 samples at depth 2 to 16 coefficients each" in (

@@ -164,3 +164,29 @@ def test_the_detector_has_no_feature_axis_and_no_per_window_fit():
         "as_feature_matrix", "per_window", "per_window", "per_window", "x[:, :, None]"]
     for path in sorted(PACKAGE.glob("*.py")):
         assert feature_axis_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def energy_floor_uses(source: str) -> list[str]:
+    """Every ReductionPolicy that the source defines, imports or reads, and
+    every min_energy_ratio it names or holds in a string.  Every window
+    descends to the depth it is asked for, so only formats, which writes
+    the old floor's field as 0.0 and checks it on reading, names it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = (getattr(node, field, None) for field in ("id", "attr", "arg", "name"))
+        found += [name for name in names if name in ("ReductionPolicy", "min_energy_ratio")]
+        if isinstance(node, ast.Constant) and "min_energy_ratio" in str(node.value):
+            found.append("min_energy_ratio")
+    return found
+
+
+def test_no_module_but_formats_knows_the_energy_floor():
+    source = ("from .reducer import ReductionPolicy\nclass ReductionPolicy:\n    pass\n"
+              "def f(min_energy_ratio):\n"
+              "    return g(x.min_energy_ratio, doc['min_energy_ratio'], f'{y} min_energy_ratio')\n")
+    assert sorted(energy_floor_uses(source)) == [
+        "ReductionPolicy", "ReductionPolicy", "min_energy_ratio", "min_energy_ratio",
+        "min_energy_ratio", "min_energy_ratio"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        allowed = {"min_energy_ratio"} if path.stem == "formats" else set()
+        assert set(energy_floor_uses(path.read_text(encoding="utf-8"))) <= allowed, path.name

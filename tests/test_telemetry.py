@@ -177,6 +177,22 @@ def test_decreasing_counter_is_a_contract_violation():
         deltas([10])
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def test_a_rise_no_int64_delta_holds_is_refused_not_called_a_decrease():
+    # np.diff wraps: this rise of 2**64 - 1 would come out as -1.
+    with pytest.raises(DataError, match="counter rises by 18446744073709551615 at snapshot 1"):
+        deltas([INT64_MIN, INT64_MAX, INT64_MAX])
+    with pytest.raises(DataError, match="rises by 9223372036854775808 at snapshot 2"):
+        deltas([-1, -1, INT64_MAX])
+    assert not issubclass(DataError, MonotonicityError)
+    # A fall that np.diff wraps to a positive step is still a decrease.
+    with pytest.raises(MonotonicityError, match="decreases at snapshot 1"):
+        deltas([INT64_MAX, INT64_MIN])
+    assert list(deltas([-1, INT64_MAX - 1])) == [INT64_MAX]
+
+
 def test_select_server_ports_filters_and_validates():
     sw = SwitchSim("s1", {1: steady(), 2: steady(), 3: steady()}, seed=0)
     store = poll([sw], interval=10.0, duration=30.0)
