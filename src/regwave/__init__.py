@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import (
     AlignmentError,
     ContractError,
-    FamilyMismatchError,
     InputError,
     InsufficientDataError,
     MonotonicityError,
@@ -60,7 +59,6 @@ __all__ = [
     "ComparisonReport",
     "ContractError",
     "FAMILIES",
-    "FamilyMismatchError",
     "FilterPair",
     "GaussianModel",
     "InputError",

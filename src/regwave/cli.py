@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, formats, gaussian, pipeline
 from .errors import AlignmentError, ContractError, InputError
-from .reducer import family_length_and_depth, synthesize_windows
+from .reducer import synthesize_windows
 # No verb calls the single-window form any more, but it stays importable under
 # this name: perfbench's tracer test patches and restores it here.
 from .reducer import synthesize as synthesize_register  # noqa: F401
@@ -150,7 +150,7 @@ def _deltas(path) -> np.ndarray:
 def cmd_reduce(args) -> int:
     series = _deltas(args.register)
     filters = make_filter_pair(args.family)
-    registers, dropped = pipeline.reduce_series(series, filters, args.depth, args.window)
+    reduced, dropped = pipeline.reduce_series(series, filters, args.depth, args.window)
     if dropped:
         print(
             f"warning: {dropped} trailing samples do not fill a window and were "
@@ -158,20 +158,20 @@ def cmd_reduce(args) -> int:
             file=sys.stderr,
         )
     formats.write_reduced_file(
-        args.out, registers, source=args.register, total_samples=series.shape[0]
+        args.out, reduced, source=args.register, total_samples=series.shape[0]
     )
     print(
-        f"reduced {len(registers)} window(s) of {args.window} samples at depth "
+        f"reduced {len(reduced.coeffs)} window(s) of {args.window} samples at depth "
         f"{args.depth} to {args.window >> args.depth} coefficients each in {args.out}"
     )
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    registers, _ = formats.read_reduced_file(args.reduced)
-    rebuilt = synthesize_windows(registers)
+    reduced, _ = formats.read_reduced_file(args.reduced)
+    rebuilt = synthesize_windows(reduced)
     formats.write_series_csv(args.out, rebuilt.ravel(), label="synthesized")
-    print(f"synthesized {len(registers)} window(s), {rebuilt.size} samples, in {args.out}")
+    print(f"synthesized {len(rebuilt)} window(s), {rebuilt.size} samples, in {args.out}")
     return EXIT_OK
 
 
@@ -227,21 +227,21 @@ def cmd_detect(args) -> int:
 
 def cmd_compare(args) -> int:
     series, model = _series_and_model(args)
-    registers, total_samples = formats.read_reduced_file(args.reduced)
+    reduced, total_samples = formats.read_reduced_file(args.reduced)
     if total_samples != series.shape[0]:
         raise AlignmentError(
             f"{args.register} holds {series.shape[0]} deltas, but {args.reduced} was "
             f"reduced from {total_samples}"
         )
-    result = pipeline.compare_windows(series, registers, model)
+    result = pipeline.compare_windows(series, reduced, model)
     os.makedirs(args.out, exist_ok=True)
-    family, n, depth = family_length_and_depth(registers)
+    n = reduced.original_length
     doc = {
         "source": args.register,
         "reduced": args.reduced,
-        "family": family,
+        "family": reduced.family,
         "window_size": n,
-        "depth": depth,
+        "depth": reduced.depth,
         "quantile": model.quantile,
         "windows": [],
     }

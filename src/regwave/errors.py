@@ -33,10 +33,6 @@ class PolicyError(InputError):
     pass
 
 
-class FamilyMismatchError(InputError):
-    pass
-
-
 class InsufficientDataError(InputError):
     pass
 

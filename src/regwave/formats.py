@@ -5,7 +5,8 @@ Reduced registers and fitted models are JSON documents carrying a format tag;
 floats are written with ``repr`` precision, so coefficient round trips are
 exact.  A reduced file stores each window's ``index`` and ``start``; they
 are written and checked here only, so that everywhere else window r is
-simply entry r of a list.
+simply row r of a register.  The file spells each window's kept branches as
+a path of ``L`` and ``H`` letters, which only this module reads and writes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import warnings
 import numpy as np
 
 from .errors import InputError, ParseError
-from .reducer import ReducedRegister, family_length_and_depth
+from .reducer import ReducedRegister
 from .gaussian import GaussianModel
 from .wavelets import FAMILIES
 
@@ -266,48 +267,51 @@ def _series_rows(idx, values) -> str:
 
 
 def write_reduced_file(
-    path, registers: list[ReducedRegister], *, source: str, total_samples: int
+    path, reduced: ReducedRegister, *, source: str, total_samples: int
 ) -> None:
-    """Write the registers made from total_samples deltas, with the family,
-    window size and depth that they share (see family_length_and_depth).
+    """Write a register's windows, reduced from total_samples deltas, with
+    its family, window size and depth.
 
     Every window descends to the file's depth, so min_energy_ratio, the
     early-stop floor of older versions, is always 0.0; it is kept so that
     files stay regwave.reduced/1."""
-    family, window_size, depth = family_length_and_depth(registers)
+    n = reduced.original_length
+    paths = ["".join(row) for row in np.where(reduced.high, "H", "L").tolist()]
+    rows = zip(paths, reduced.coeffs.tolist(), reduced.sibling_energies.tolist())
     doc = {
         "format": REDUCED_FORMAT,
-        "family": family,
-        "window_size": window_size,
-        "depth": depth,
+        "family": reduced.family,
+        "window_size": n,
+        "depth": reduced.depth,
         "min_energy_ratio": 0.0,
         "source": source,
         "total_samples": total_samples,
-        "dropped_samples": total_samples - len(registers) * window_size,
+        "dropped_samples": total_samples - len(paths) * n,
         "windows": [
             {
                 "index": i,
-                "start": i * window_size,
-                "original_length": r.original_length,
-                "path": r.path,
-                "coefficients": [float(c) for c in r.coeffs],
-                "sibling_energies": [list(pair) for pair in r.sibling_energies],
+                "start": i * n,
+                "original_length": n,
+                "path": letters,
+                "coefficients": coeffs,
+                "sibling_energies": ledger,
             }
-            for i, r in enumerate(registers)
+            for i, (letters, coeffs, ledger) in enumerate(rows)
         ],
     }
     write_json(path, doc)
 
 
-def read_reduced_file(path) -> tuple[list[ReducedRegister], int]:
+def read_reduced_file(path) -> tuple[ReducedRegister, int]:
     """Read a reduced-register file; returns what write_reduced_file took:
-    the registers, window r at entry r, and total_samples.
+    the register, window r in row r, and total_samples.
 
     Entry i must have index i, so windows are listed in order without gaps
-    or repeats.  Each entry must hold fields of the JSON types README gives,
-    make a valid ReducedRegister and agree with the envelope: its
-    original_length is the file's window_size, its stored start is
-    ``index * window_size``, and its depth is the file's depth.
+    or repeats.  Each entry must hold fields of the JSON types README gives
+    and agree with the envelope: a path of depth L and H letters, one ledger
+    pair per letter, original_length the file's window_size, start ``index
+    * window_size``, and ``window_size >> depth`` coefficients.  Together
+    the windows must make a valid ReducedRegister.
 
     Raises:
         ParseError: unreadable file, unknown family, an envelope without
@@ -341,7 +345,7 @@ def read_reduced_file(path) -> tuple[list[ReducedRegister], int]:
         raise ParseError("windows must be an array", path)
     if not doc["windows"]:
         raise ParseError("windows is empty, and reduce writes at least one", path)
-    registers = []
+    paths, coefficients, ledgers = [], [], []
     for i, entry in enumerate(doc["windows"]):
         try:
             index, start, length, letters, coeffs, ledger = (entry[key] for key in (
@@ -358,35 +362,45 @@ def read_reduced_file(path) -> tuple[list[ReducedRegister], int]:
                 "sibling_energies pair",
                 path,
             )
-        try:
-            register = ReducedRegister(
-                original_length=length,
-                family=family,
-                path=letters,
-                coeffs=np.array(coeffs, dtype=np.float64),
-                sibling_energies=tuple((float(k), float(d)) for k, d in ledger),
-            )
-        except (InputError, ValueError, OverflowError) as exc:
-            raise ParseError(f"window {i}: {exc}", path) from None
-        if index != i:
-            raise ParseError(f"window {i}: index {index} is not its position {i} in windows",
-                             path)
-        if register.original_length != window_size:
-            raise ParseError(f"window {i}: original_length {length} is not the file's "
-                             f"window_size {window_size}", path)
-        if start != index * window_size:
-            raise ParseError(f"window {i}: start {start} is not index {i} * "
-                             f"window_size {window_size}", path)
-        if register.depth != depth:
-            raise ParseError(
-                f"window {i}: depth {register.depth} is not the file's depth {depth}", path
-            )
-        registers.append(register)
-    if dropped != total - len(registers) * window_size or not 0 <= dropped < window_size:
+        # Depth first: a window an old energy floor stopped early is named so.
+        if not letters or not set(letters) <= {"L", "H"}:
+            problem = f"path must be L and H letters, got {letters!r}"
+        elif len(letters) != depth:
+            problem = f"depth {len(letters)} is not the file's depth {depth}"
+        elif len(ledger) != depth:
+            problem = f"{len(ledger)} sibling_energies pairs for path {letters!r}"
+        elif length < 2 or length & (length - 1):
+            problem = f"original_length {length} is not a power of two >= 2"
+        elif length != window_size:
+            problem = f"original_length {length} is not the file's window_size {window_size}"
+        elif index != i:
+            problem = f"index {index} is not its position {i} in windows"
+        elif start != index * window_size:
+            problem = f"start {start} is not index {i} * window_size {window_size}"
+        elif not length >> depth or len(coeffs) != length >> depth:
+            problem = (f"coefficients of shape ({len(coeffs)},) do not rebuild {length} "
+                       f"samples at depth {depth}")
+        else:
+            try:
+                coefficients.append(np.array(coeffs, dtype=np.float64))
+                ledgers.append([(float(k), float(d)) for k, d in ledger])
+                paths.append(letters)
+                continue
+            except (ValueError, OverflowError) as exc:
+                problem = str(exc)
+        raise ParseError(f"window {i}: {problem}", path)
+    if dropped != total - len(paths) * window_size or not 0 <= dropped < window_size:
         raise ParseError(f"dropped_samples {dropped} must equal total_samples {total} - "
-                         f"{len(registers)} windows * {window_size} and lie in "
+                         f"{len(paths)} windows * {window_size} and lie in "
                          f"[0, {window_size})", path)
-    return registers, total
+    high = np.frombuffer("".join(paths).encode(), np.uint8).reshape(-1, depth) == ord("H")
+    try:
+        reduced = ReducedRegister(
+            family, window_size, high, np.array(coefficients), np.array(ledgers)
+        )
+    except InputError as exc:
+        raise ParseError(str(exc), path) from None
+    return reduced, total
 
 
 def write_model_file(path, model: GaussianModel, *, training_window: str) -> None:

@@ -4,8 +4,8 @@ A counter-delta series is cut into consecutive non-overlapping windows, each
 window reduced to its strongest packet branch, and detection run on both the
 original and the rebuilt window with one shared model and threshold so that
 any difference in flags is attributable to the reduction alone.  Window r is
-samples ``[r*n, (r+1)*n)`` of the series, register r of a list and row r of
-every batch; no window carries its own position.
+samples ``[r*n, (r+1)*n)`` of the series and row r of the series' one
+ReducedRegister and of every batch; no window carries its own position.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ def reduce_series(
     filters: FilterPair,
     depth: int,
     window: int,
-) -> tuple[list[ReducedRegister], int]:
-    """Reduce every full window of a series; returns one register per window
-    and the number of trailing samples dropped."""
+) -> tuple[ReducedRegister, int]:
+    """Reduce every full window of a series; returns the register that
+    holds them, window r in row r, and the number of trailing samples
+    dropped."""
     if window < 2:
         raise InsufficientDataError(f"window must be at least 2, got {window}")
     x = np.asarray(values, dtype=np.float64)
@@ -85,9 +86,9 @@ def judge_windows(originals, synthesized, compression, mu, sigma2, epsilon):
 
 
 def compare_windows(
-    values, registers: list[ReducedRegister], model: gaussian.GaussianModel
+    values, reduced: ReducedRegister, model: gaussian.GaussianModel
 ) -> Comparison:
-    """Judge register r against window r of the series, for every register.
+    """Judge row r of a register against window r of the series, for every row.
 
     The calibrated model, such as one fitted on a training prefix of the
     series or on all of it, scores both versions of every window with its
@@ -95,24 +96,22 @@ def compare_windows(
     one batch.
 
     The filter bank is orthonormal, so a window's energy equals its
-    register's level-1 ledger pair, ``kept + discarded``, and the energy of
-    the window minus its rebuild equals the register's discarded energy.  A
-    window whose energy differs from that sum by more than LEDGER_RTOL of
-    the larger was not reduced into its register; a rebuild whose error
-    differs from the discarded energy by more than LEDGER_RTOL of the
-    window's energy contradicts its ledger.  Both are refused.
+    level-1 ledger pair, ``kept + discarded``, and the energy of the window
+    minus its rebuild equals its discarded energy.  A window whose energy
+    differs from that sum by more than LEDGER_RTOL of the larger was not
+    reduced into its row; a rebuild whose error differs from the discarded
+    energy by more than LEDGER_RTOL of the window's energy contradicts its
+    ledger.  Both are refused, naming the first such window.
 
     Raises:
         InsufficientDataError: a model without epsilon.
-        LengthError, FamilyMismatchError: no registers, or registers of mixed
-            lengths or families.
         AlignmentError: when the windows need samples the series lacks, or
-            a window or its rebuild does not match its register's ledger.
+            a window or its rebuild does not match its row's ledger.
     """
     x = np.asarray(values, dtype=np.float64)
     if model.epsilon is None:
         raise InsufficientDataError("model has no threshold; run calibrate() first")
-    synthesized = synthesize_windows(registers)
+    synthesized = synthesize_windows(reduced)
     k, n = synthesized.shape
     if k * n > x.shape[0]:
         r = x.shape[0] // n
@@ -121,21 +120,24 @@ def compare_windows(
             f"{x.shape[0]} samples"
         )
     originals = x[: k * n].reshape(k, n).copy()
-    rows = zip(energies(originals).tolist(), energies(originals - synthesized).tolist())
-    for r, ((energy, error), reduced) in enumerate(zip(rows, registers)):
-        ledger, discarded = sum(reduced.sibling_energies[0]), reduced.discarded_energy()
-        if abs(energy - ledger) > LEDGER_RTOL * max(energy, ledger):
+    energy, error = energies(originals), energies(originals - synthesized)
+    ledger, discarded = reduced.sibling_energies[:, 0].sum(axis=1), reduced.discarded_energy()
+    foreign = np.abs(energy - ledger) > LEDGER_RTOL * np.maximum(energy, ledger)
+    bad = foreign | (np.abs(error - discarded) > LEDGER_RTOL * energy)
+    if bad.any():
+        r = bad.argmax()
+        if foreign[r]:
             raise AlignmentError(
-                f"window {r} holds energy {energy!r}, but register {r}'s ledger holds "
-                f"{ledger!r}: it was not reduced from this series"
+                f"window {r} holds energy {float(energy[r])!r}, but register {r}'s "
+                f"ledger holds {float(ledger[r])!r}: it was not reduced from this series"
             )
-        if abs(error - discarded) > LEDGER_RTOL * energy:
-            raise AlignmentError(
-                f"window {r} differs from its rebuild from register {r} by energy "
-                f"{error!r}, but the register's ledger discards {discarded!r}"
-            )
+        raise AlignmentError(
+            f"window {r} differs from its rebuild from register {r} by energy "
+            f"{float(error[r])!r}, but the register's ledger discards "
+            f"{float(discarded[r])!r}"
+        )
     reports, prob_o, prob_s = judge_windows(
-        originals, synthesized, [compression_ratio(r) for r in registers],
+        originals, synthesized, [compression_ratio(reduced)] * k,
         model.mu, model.sigma2, model.epsilon,
     )
     for matrix in (originals, synthesized, prob_o, prob_s):

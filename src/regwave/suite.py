@@ -151,12 +151,12 @@ def run_case(case: PreservationCase) -> CaseResult:
     start = TRAIN_SAMPLES // WINDOW * WINDOW
     originals = np.ascontiguousarray(series[:, start : start + WINDOW])
     filters = make_filter_pair(FAMILY)
-    registers = decompose_windows(originals, filters, DEPTH)
+    reduced = decompose_windows(originals, filters, DEPTH)
     mu, sigma2, epsilon = fit_row_models(series[:, :TRAIN_SAMPLES], QUANTILE)
     reports, _, _ = judge_windows(
         originals,
-        synthesize_windows(registers),
-        [compression_ratio(r) for r in registers],
+        synthesize_windows(reduced),
+        [compression_ratio(reduced)] * len(_DIRECTIONS),
         mu,
         sigma2,
         epsilon,

@@ -49,9 +49,10 @@ def test_criterion_1_depth_one_halves_the_window():
         window = rng.normal(size=256)
         first = decompose(window, filters, depth)
         second = decompose(window, filters, depth)
-        ok &= first.coeffs.shape == (128,)
+        # A one-window register: row 0 holds the window's branch.
+        ok &= first.coeffs.shape == (1, 128)
         ok &= compression_ratio(first) == 0.5
-        ok &= first.path == second.path
+        ok &= np.array_equal(first.high, second.high)
         ok &= np.array_equal(first.coeffs, second.coeffs)
 
     filters = make_filter_pair("db2")
@@ -78,15 +79,15 @@ def test_criterion_2_two_stage_reduction_of_1024_samples():
     reduced = decompose(signal, filters, 2)
     again = decompose(signal, filters, 2)
     ok = (
-        reduced.coeffs.shape == (256,)
+        reduced.coeffs.shape == (1, 256)
         and compression_ratio(reduced) == 0.75
-        and reduced.path == again.path
+        and np.array_equal(reduced.high, again.high)
         and np.array_equal(reduced.coeffs, again.coeffs)
     )
     _report(
         2,
         ok,
-        f"1024 samples survive as {reduced.coeffs.shape[0]} coefficients, "
+        f"1024 samples survive as {reduced.coeffs.shape[1]} coefficients, "
         f"ratio {compression_ratio(reduced)}",
     )
 
@@ -123,7 +124,7 @@ def test_criterion_4_energy_ledger_property():
         reduced = decompose(signal, filters, depth)
         residual = signal - synthesize(reduced)
         worst_ledger = max(
-            worst_ledger, abs(energy(residual) - reduced.discarded_energy())
+            worst_ledger, abs(energy(residual) - reduced.discarded_energy()[0])
         )
     ok = worst_split <= 1e-9 and worst_ledger <= 1e-9
     _report(

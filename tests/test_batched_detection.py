@@ -57,7 +57,16 @@ def ref_report(compression, original, synthesized, probs_o, probs_s, eps):
     )
 
 
-def ref_compare(values, registers, *, model=None, train=None, quantile=0.01):
+def one_window(reduced, r):
+    """Row r of a register as a one-window register of its own."""
+    rows = slice(r, r + 1)
+    return dataclasses.replace(
+        reduced, high=reduced.high[rows], coeffs=reduced.coeffs[rows],
+        sibling_energies=reduced.sibling_energies[rows],
+    )
+
+
+def ref_compare(values, reduced, *, model=None, train=None, quantile=0.01):
     """One window at a time: (epsilon, probs_o, probs_s, report) per window."""
     x = np.asarray(values, dtype=np.float64)
     shared = None
@@ -66,7 +75,8 @@ def ref_compare(values, registers, *, model=None, train=None, quantile=0.01):
     elif train is not None:
         shared = ref_model(x[:train], quantile)
     out = []
-    for r, register in enumerate(registers):
+    for r in range(len(reduced.coeffs)):
+        register = one_window(reduced, r)
         n = register.original_length
         original = x[r * n : (r + 1) * n]
         synthesized = synthesize(register)
@@ -109,15 +119,15 @@ def prefix_model(train, quantile):
     return calibrate(fit(train), train, quantile)
 
 
-def judge_row_models(values, registers, *, quantile):
+def judge_row_models(values, reduced, *, quantile):
     """The suite's path: each window scored by a model fitted on its own
     samples, every window in one batch.  Returns ``(mu, sigma2, epsilon,
     reports, probs_o, probs_s)``."""
-    synthesized = synthesize_windows(registers)
+    synthesized = synthesize_windows(reduced)
     k, n = synthesized.shape
     originals = np.asarray(values, dtype=np.float64)[: k * n].reshape(k, n).copy()
     mu, sigma2, epsilon = fit_row_models(originals, quantile)
-    compression = [compression_ratio(r) for r in registers]
+    compression = [compression_ratio(reduced)] * k
     reports, probs_o, probs_s = judge_windows(
         originals, synthesized, compression, mu, sigma2, epsilon
     )
@@ -134,24 +144,24 @@ def windowed(rows, n):
     if rows > 1:
         series[n : 2 * n] = 7_000.0
     depth = 1 if n < 8 else 2
-    registers, _ = reduce_series(series, filters, depth, n)
-    assert len(registers) == rows
-    return series, registers, rng
+    reduced, _ = reduce_series(series, filters, depth, n)
+    assert reduced.coeffs.shape[0] == rows
+    return series, reduced, rng
 
 
 @pytest.mark.parametrize("source", SOURCES[:2])
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
 @pytest.mark.parametrize("rows", [1, 3, 37])
 def test_batched_compare_equals_the_per_window_reference(rows, n, source):
-    series, registers, rng = windowed(rows, n)
+    series, reduced, rng = windowed(rows, n)
     if source == "model":
         model = prefix_model(bursty(rng, 300), 0.05)
-        reference = ref_compare(series, registers, model=model)
+        reference = ref_compare(series, reduced, model=model)
     else:  # the reference fits its own model on the prefix
         train = max(2, series.shape[0] // 2)
         model = prefix_model(series[:train], 0.05)
-        reference = ref_compare(series, registers, train=train, quantile=0.05)
-    comp = compare_windows(series, registers, model)
+        reference = ref_compare(series, reduced, train=train, quantile=0.05)
+    comp = compare_windows(series, reduced, model)
     assert_same(comp, reference)
     # The originals are the series' windows, copied out of it.
     assert np.array_equal(comp.original, series[: rows * n].reshape(rows, n))
@@ -161,11 +171,11 @@ def test_batched_compare_equals_the_per_window_reference(rows, n, source):
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
 @pytest.mark.parametrize("rows", [1, 3, 37])
 def test_row_models_equal_the_per_window_reference(rows, n):
-    series, registers, _ = windowed(rows, n)
+    series, reduced, _ = windowed(rows, n)
     mu, sigma2, epsilon, reports, probs_o, probs_s = judge_row_models(
-        series, registers, quantile=0.05
+        series, reduced, quantile=0.05
     )
-    reference = ref_compare(series, registers, quantile=0.05)
+    reference = ref_compare(series, reduced, quantile=0.05)
     for r, (eps, ref_o, ref_s, report) in enumerate(reference):
         original = series[r * n : (r + 1) * n]
         ref_mu, ref_sigma2, _ = ref_model(original, 0.05)
@@ -187,7 +197,7 @@ def test_all_zero_window_raises_as_before(source):
     filters = make_filter_pair("haar")
     series = bursty(rng, 3 * 64)
     series[64:128] = 0.0
-    registers, _ = reduce_series(series, filters, 1, 64)
+    reduced, _ = reduce_series(series, filters, 1, 64)
     if source == "per-window":
         calls = [(judge_row_models, {"quantile": 0.01}), (ref_compare, {})]
     else:
@@ -198,7 +208,7 @@ def test_all_zero_window_raises_as_before(source):
     for compare, kwargs in calls:
         with pytest.raises(UndefinedMetricError,
                            match="prd is undefined for an all-zero reference"):
-            compare(series, registers, **kwargs)
+            compare(series, reduced, **kwargs)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 37])
@@ -225,9 +235,9 @@ def ref_run_case(case):
     reports = {}
     for field in ("rx_bytes", "tx_bytes"):
         series = deltas(store.counter_series("s1", 1, field))
-        registers, _ = reduce_series(series, filters, suite.DEPTH, suite.WINDOW)
+        reduced, _ = reduce_series(series, filters, suite.DEPTH, suite.WINDOW)
         reference = ref_compare(
-            series, registers, train=suite.TRAIN_SAMPLES, quantile=suite.QUANTILE
+            series, reduced, train=suite.TRAIN_SAMPLES, quantile=suite.QUANTILE
         )
         reports[field] = reference[suite.TRAIN_SAMPLES // suite.WINDOW][3]
     return reports

@@ -240,6 +240,14 @@ def _energy_string(doc):
     doc["windows"][1]["sibling_energies"][0][1] = "2.0"
 
 
+def _path_letter_x(doc):
+    doc["windows"][1]["path"] = "X"
+
+
+def _path_empty(doc):
+    doc["windows"][1]["path"] = ""
+
+
 def _start_missing(doc):
     del doc["windows"][1]["start"]
 
@@ -345,6 +353,8 @@ ENVELOPE_TYPES = "envelope needs integer window_size and depth"
     (_length_float, WINDOW_TYPES),
     (_coefficient_string, WINDOW_TYPES),
     (_energy_string, WINDOW_TYPES),
+    (_path_letter_x, "window 1: path must be L and H letters, got 'X'"),
+    (_path_empty, "window 1: path must be L and H letters, got ''"),
     (_start_missing, "window 1: malformed entry: 'start'"),
     (_entry_array, "window 1: malformed entry: list indices"),
     (_energy_triple, "window 1: too many values to unpack"),

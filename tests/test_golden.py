@@ -60,6 +60,36 @@ SIMULATE_INTERVAL_DIGESTS = {
 SPIKE_DEMO_REDUCED = "0835fbad5f8fa7cacb88616e59443ae8f396270ccc3880bd1780f28804337295"
 SPIKE_DEMO_REPORT = "ba9f311f0fdc67192a9727c93c872e53a18822cd6d4e18f5fbee1e73c748b84f"
 
+# reduce --family F --depth D --window 64 of sim/s1_p1_tx_bytes.csv from
+# video-42min.scn at seed 0: three windows and 59 dropped samples each.
+# Recorded on the writer that took one register object per window.
+REDUCE_DIGESTS = {
+    ("db2", 1):
+        "0aa7469692e7f436ba39177737ac34631cb1c02a389d9a4c689559187ceaa03d",
+    ("db2", 2):
+        "137d39fabfc4d74b0fb4c35910321357e5f753337730f3489d8a1e21421db07c",
+    ("db2", 3):
+        "6aa263330a1f78dc0ff412ad0e170752e01be97fb0a57617806c519d38fd2b6e",
+    ("db3", 1):
+        "bd7e6b5ca85d537057b80601fb47b7a813dfe54f754c9ae143c4c0ba8c65c431",
+    ("db3", 2):
+        "fab16e864c6e15b9b72121d268c1d38cd066156e68aa3333bae01bdc4432ffd5",
+    ("db3", 3):
+        "a31d0409c21d0caa738476e9e40e58464dc5b6c53b1b1ac819f60be83b3ae6a0",
+    ("db4", 1):
+        "ee757d039683de37f608f01da5b23a0b5ad4cd970c45ad69af423a9d7c49a3f7",
+    ("db4", 2):
+        "5c9ab075274f93fd4d7df1c55a4ef00831c923911e242bf1bc6da4e230fe9ef1",
+    ("db4", 3):
+        "58b0eb317379595e5e479ee7bd266ff6ca25d1df471e96c915e6bd8b8e8c3eed",
+    ("haar", 1):
+        "9f1896ec959a155e3af9687772d8d1e847cc6605cb5a3503b2e23ce4894e70e1",
+    ("haar", 2):
+        "6fae8dcd8ba1d354c6def819504958d845504d6320f9c1e8e9c75ff5316c75c8",
+    ("haar", 3):
+        "bf60811948ebf2b3988a4dfbb85ab0e4f49750455f0b043aa3de3a7b0d4e5963",
+}
+
 
 def _scenario_path(name):
     if (DATA / name).exists():
@@ -127,6 +157,24 @@ def test_simulate_exports_at_other_intervals_are_byte_identical(
 ):
     digest = simulate_digest(name, seed, tmp_path / "sim", "--interval", interval)
     assert digest == SIMULATE_INTERVAL_DIGESTS[(name, seed, interval)]
+
+
+@pytest.fixture(scope="module")
+def video_workdir(tmp_path_factory):
+    """A directory holding sim/, the video-42min export at seed 0."""
+    workdir = tmp_path_factory.mktemp("video")
+    simulate_digest("video-42min.scn", 0, workdir / "sim")
+    return workdir
+
+
+@pytest.mark.parametrize("family,depth", sorted(REDUCE_DIGESTS))
+def test_reduced_files_are_byte_identical(family, depth, video_workdir, monkeypatch):
+    monkeypatch.chdir(video_workdir)
+    out = f"red-{family}-{depth}.json"
+    argv = ["reduce", "sim/s1_p1_tx_bytes.csv", "--family", family,
+            "--depth", str(depth), "--window", "64", "--out", out]
+    assert main(argv) == 0
+    assert file_digest(video_workdir / out) == REDUCE_DIGESTS[(family, depth)]
 
 
 def test_spike_demo_reduce_and_compare_are_byte_identical(tmp_path, monkeypatch):

@@ -190,3 +190,33 @@ def test_no_module_but_formats_knows_the_energy_floor():
     for path in sorted(PACKAGE.glob("*.py")):
         allowed = {"min_energy_ratio"} if path.stem == "formats" else set()
         assert set(energy_floor_uses(path.read_text(encoding="utf-8"))) <= allowed, path.name
+
+
+def batch_agreement_uses(source: str) -> list[str]:
+    """Every family_length_and_depth or FamilyMismatchError that the source
+    defines, imports or reads, and every "L" or "H" string constant.  One
+    ReducedRegister holds every window of a series with one family, length
+    and depth, so no batch of registers can disagree, and a kept branch is
+    a boolean; only formats, which writes and reads the path text, spells
+    its letters."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = (getattr(node, field, None) for field in ("id", "attr", "arg", "name"))
+        found += [name for name in names
+                  if name in ("family_length_and_depth", "FamilyMismatchError")]
+        if isinstance(node, ast.Constant) and node.value in ("L", "H"):
+            found.append(node.value)
+    return found
+
+
+def test_no_module_checks_that_registers_agree_and_only_formats_spells_a_path():
+    source = ("from .errors import FamilyMismatchError\n"
+              "def family_length_and_depth(r):\n"
+              "    raise errors.FamilyMismatchError(family_length_and_depth(r))\n"
+              "x = 'H' if h else \"L\"\ny = 'LH'\n")
+    assert sorted(batch_agreement_uses(source)) == [
+        "FamilyMismatchError", "FamilyMismatchError", "H", "L",
+        "family_length_and_depth", "family_length_and_depth"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        allowed = {"L", "H"} if path.stem == "formats" else set()
+        assert set(batch_agreement_uses(path.read_text(encoding="utf-8"))) <= allowed, path.name
