@@ -1,4 +1,5 @@
-"""Byte-identity guard for the simulator, the CSV export, reduce and compare.
+"""Byte-identity guard for the simulator, the CSV export, reduce, synthesize,
+detect and compare.
 
 The simulate digests below were recorded on the per-tick object simulator
 that the columnar kernel replaced.  They must never be regenerated: if one
@@ -59,6 +60,15 @@ SIMULATE_INTERVAL_DIGESTS = {
 
 SPIKE_DEMO_REDUCED = "0835fbad5f8fa7cacb88616e59443ae8f396270ccc3880bd1780f28804337295"
 SPIKE_DEMO_REPORT = "ba9f311f0fdc67192a9727c93c872e53a18822cd6d4e18f5fbee1e73c748b84f"
+# Every file the series writer makes in the spike demo: compare's whole cmp/
+# directory (report.json and four window CSVs per window), synthesize's CSV
+# and detect's directory.  Recorded on the writer that called repr once per
+# value.
+SPIKE_DEMO_SERIES = {
+    "cmp": "bfa4ad798bd19608cc35b94cace2ade26df700e3eefbb0a7afa12f4b32d9e87d",
+    "syn.csv": "9029cf32a0f9ee418d1fce98baf0159908ca40c390349227749786abd04f908d",
+    "det": "63117e21e0e0fb2dc9a2c170dfd8612aa531b5bc6a8d79a1eabd4a29a8dd795a",
+}
 
 # reduce --family F --depth D --window 64 of sim/s1_p1_tx_bytes.csv from
 # video-42min.scn at seed 0: three windows and 59 dropped samples each.
@@ -121,20 +131,30 @@ def simulate_digest(name: str, seed: int, out: Path, *flags: str) -> str:
 
 
 def spike_demo_commands(scn: Path) -> list[list[str]]:
-    """Simulate the spike demo at seed 2, then reduce and compare one
-    register, with paths relative to the working directory so the
-    documents' source fields do not depend on it."""
+    """Simulate the spike demo at seed 2, then reduce, synthesize, detect and
+    compare one register, with paths relative to the working directory so
+    the documents' source fields do not depend on it."""
     register = "sim/s1_p1_tx_bytes.csv"
+    detector = ["--train", "512", "--quantile", "0.001"]
     return [
         ["simulate", str(scn), "--seed", "2", "--out", "sim"],
         ["reduce", register, "--out", "red.json"],
-        ["compare", register, "red.json", "--train", "512", "--quantile", "0.001",
-         "--out", "cmp"],
+        ["synthesize", "red.json", "--out", "syn.csv"],
+        ["detect", register, *detector, "--out", "det"],
+        ["compare", register, "red.json", *detector, "--out", "cmp"],
     ]
 
 
 def spike_demo_outputs(workdir: Path) -> tuple[str, str]:
     return file_digest(workdir / "red.json"), file_digest(workdir / "cmp" / "report.json")
+
+
+def spike_demo_series(workdir: Path) -> dict[str, str]:
+    return {
+        "cmp": tree_digest(workdir / "cmp"),
+        "syn.csv": file_digest(workdir / "syn.csv"),
+        "det": tree_digest(workdir / "det"),
+    }
 
 
 def spike_demo_digests(workdir: Path, monkeypatch) -> tuple[str, str]:
@@ -183,6 +203,11 @@ def test_spike_demo_reduce_and_compare_are_byte_identical(tmp_path, monkeypatch)
     assert report == SPIKE_DEMO_REPORT
 
 
+def test_spike_demo_series_files_are_byte_identical(tmp_path, monkeypatch):
+    spike_demo_digests(tmp_path, monkeypatch)
+    assert spike_demo_series(tmp_path) == SPIKE_DEMO_SERIES
+
+
 @pytest.mark.parametrize("coretype", ("Haswell", "Prescott"))
 def test_spike_demo_digests_hold_under_other_openblas_kernels(coretype, tmp_path):
     # OpenBLAS picks its kernel once, when it loads, so the pipeline runs in
@@ -205,3 +230,4 @@ def test_spike_demo_digests_hold_under_other_openblas_kernels(coretype, tmp_path
         )
     assert run.returncode == 0, run.stderr
     assert spike_demo_outputs(tmp_path) == (SPIKE_DEMO_REDUCED, SPIKE_DEMO_REPORT)
+    assert spike_demo_series(tmp_path) == SPIKE_DEMO_SERIES
