@@ -242,28 +242,21 @@ def export_store(store, out_dir) -> list[str]:
 def write_series_csv(path, values, label: str = "value") -> None:
     """Two-column plot-ready export: sample index 0, 1, ... and value.
 
-    Floats print with ``repr``; a boolean series prints the same text,
-    ``0.0``/``1.0``, through the integer kernel.  Rows are formatted
-    SERIES_CHUNK_ROWS at a time, so memory stays bounded by one chunk's text
-    however long the series is.
+    Values print as ``repr`` of their float64, a boolean series as
+    ``0.0``/``1.0``.  Rows are formatted SERIES_CHUNK_ROWS at a time, so
+    memory stays bounded by one chunk's text however long the series is.
     """
-    values = np.asarray(values)
-    if values.dtype != np.bool_:
-        values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"index,{label}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"index,{label}\n".encode())
         for lo in range(0, n, SERIES_CHUNK_ROWS):
             hi = min(lo + SERIES_CHUNK_ROWS, n)
             fh.write(_series_rows(np.arange(lo, hi), values[lo:hi]))
 
 
-def _series_rows(idx, values) -> str:
-    if values.dtype == np.bool_:
-        digit = values.view(np.uint8)[:, None] + np.uint8(ord("0"))
-        return _text(_columns(_int_text(idx), _COMMA, digit, _POINT_ZERO, _NL)).decode()
-    rows = zip(idx.tolist(), values.tolist())
-    return "".join([f"{i},{v!r}\n" for i, v in rows])
+def _series_rows(idx, values) -> bytes:
+    return _text(_columns(_int_text(idx), _COMMA, _float_text(values), _NL))
 
 
 def write_reduced_file(
