@@ -246,19 +246,20 @@ def cmd_compare(args) -> int:
         "windows": [],
     }
     for r, rep in enumerate(result.reports):
-        doc["windows"].append(
-            {"index": r, "start": r * n, "epsilon": result.epsilon,
-             **dataclasses.asdict(rep)}
-        )
-        for name, values, label in (
-            ("original", result.original[r], "original"),
-            ("synthesized", result.synthesized[r], "synthesized"),
-            ("prob_original", result.prob_original[r], "probability"),
-            ("prob_synthesized", result.prob_synthesized[r], "probability"),
-        ):
-            formats.write_series_csv(
-                os.path.join(args.out, f"window{r:03d}_{name}.csv"), values, label=label
-            )
+        fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+        doc["windows"].append({"index": r, "start": r * n, "epsilon": result.epsilon,
+                               **fields})
+    # Each of the four series is written as one block, a file per window.
+    for name, block, label in (
+        ("original", result.original, "original"),
+        ("synthesized", result.synthesized, "synthesized"),
+        ("prob_original", result.prob_original, "probability"),
+        ("prob_synthesized", result.prob_synthesized, "probability"),
+    ):
+        paths = [os.path.join(args.out, f"window{r:03d}_{name}.csv")
+                 for r in range(len(block))]
+        formats.write_series_csv(paths, block, label=label)
+    for r, rep in enumerate(result.reports):
         print(
             f"window {r}: jaccard {rep.jaccard:.3f} rmse {rep.rmse:.4g} "
             f"prd {rep.prd:.3f}% flags {len(rep.flags_original)}/"

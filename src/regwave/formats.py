@@ -53,8 +53,9 @@ def _digit_table() -> np.ndarray:
     return table
 
 
+_TENS = np.array([10**k for k in range(20)], dtype=np.uint64)
 # 10**1 .. 10**19: searchsorted counts the digits of a uint64 magnitude.
-_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+_POW10 = _TENS[1:]
 _NL = np.array([[ord("\n")]], dtype=np.uint8)
 _COMMA = np.array([[ord(",")]], dtype=np.uint8)
 _POINT_ZERO = np.array([[ord("."), ord("0")]], dtype=np.uint8)
@@ -93,16 +94,218 @@ def _int_text(values) -> np.ndarray:
 def _float_text(values) -> np.ndarray:
     """``repr`` of a float64 array as a NUL-padded uint8 matrix.
 
-    Integral values below 2**53 (other than -0.0) print as their integer plus
-    ``.0`` and take the integer kernel; any other value sends the whole array
-    through ``repr`` one value at a time.
+    An array of whole numbers below 2**53 (-0.0 aside) prints each as its
+    integer plus ``.0`` through the integer kernel.  Any other array goes
+    through the shortest round-trip kernel, lane by lane in numpy.
     """
     values = np.asarray(values, dtype=np.float64)
-    integral = (np.abs(values) < 2.0**53) & (values == np.trunc(values))
+    with np.errstate(invalid="ignore"):  # np.trunc of a signalling nan
+        integral = (np.abs(values) < 2.0**53) & (values == np.trunc(values))
     if integral.all() and not np.signbit(values[values == 0]).any():
         return _columns(_int_text(values.astype(np.int64)), _POINT_ZERO)
-    text = np.array([repr(v) for v in values.tolist()], dtype=np.bytes_)
-    return text.view(np.uint8).reshape(values.shape[0], -1)
+    n = values.shape[0]
+    return np.concatenate([_shortest_text(values[lo:lo + _LANES]) for lo in range(0, n, _LANES)])
+
+
+@functools.cache
+def _shortest_table() -> np.ndarray:
+    """Schubfach's constants for every binary exponent, built exactly from
+    Python ints on first use.
+
+    A double is c * 2**q with q = max(E, 1) - 1075 for its biased exponent E.
+    Column E holds, in rows 0..5, the decimal exponent k = floor(log10(2**q)),
+    the shift h = q + floor(log2(10**-k)) + 2, and the 126-bit
+    g = floor(10**-k * 2**(125 - floor(log2(10**-k)))) + 1 as four 32-bit
+    limbs, low first.  Column 2048 + E holds the same for a power of two,
+    whose lower neighbour is half as far: there k = floor(log10(3/4 * 2**q)).
+    """
+    def floor_log10(num: int, den: int) -> int:
+        k = len(str(num)) - len(str(den))
+        return k - (num * 10 ** max(-k, 0) < den * 10 ** max(k, 0))
+
+    columns = []
+    for quarters in (4, 3):
+        for biased in range(2048):
+            q = max(biased, 1) - 1075
+            k = floor_log10(quarters << max(q, 0), 4 << max(-q, 0))
+            ten = 10 ** abs(k)
+            log2 = ten.bit_length() - 1 if k <= 0 else -(ten - 1).bit_length()
+            shift = 125 - log2
+            num, den = (ten, 1) if k <= 0 else (1, ten)
+            g = (num << max(shift, 0)) // (den << max(-shift, 0)) + 1
+            columns.append([k, q + log2 + 2, *((g >> 32 * j) & 0xFFFFFFFF for j in range(4))])
+    table = np.array(columns, dtype=np.int64).T.copy()
+    table.setflags(write=False)
+    return table
+
+
+_M32 = np.uint64(0xFFFFFFFF)
+# Lanes per pass of the shortest kernel: its few dozen temporaries stay small
+# enough for the allocator to reuse instead of returning them to the system.
+_LANES = 4096
+
+
+def _round_to_odd(columns, top) -> np.ndarray:
+    """floor(x) | (x has a fraction), for x = X / 2**127 truncated to 63
+    fraction bits; X is the sum of 32-bit-spaced int64 columns 0..3 plus the
+    bits of X / 2**127 above them already shifted into top."""
+    c0, c1, c2, c3 = columns
+    c2 = c2 + ((c1 + (c0 >> 32)) >> 32)
+    c3 = c3 + (c2 >> 32)
+    fraction = (c2 & 0xFFFFFFFF) | (c3 & 0x7FFFFFFF)
+    return (top + (c3 >> 31)) | (fraction != 0)
+
+
+def _shortest_digits(bits) -> tuple[np.ndarray, np.ndarray]:
+    """Schubfach (R. Giulietti, 2020) in uint64 lanes: for each finite,
+    nonzero double, the decimal m * 10**k with the fewest digits that rounds
+    back to it, the nearest such one, and of two equally near the even one.
+
+    m has 16 or 17 digits, trailing zeros included, except for subnormals.
+    The 64 x 126-bit products are summed from 32-bit halves.
+    """
+    biased = (bits >> np.uint64(52)).view(np.int64)  & 0x7FF
+    fraction = bits & np.uint64((1 << 52) - 1)
+    c = np.where(biased > 0, fraction | np.uint64(1 << 52), fraction)
+    irregular = (fraction == 0) & (biased > 1)
+    k, h, *g = _shortest_table().take(biased + 2048 * irregular, axis=1)
+    g = [limb.view(np.uint64) for limb in g]
+    # 4c scaled by 2**h, split in halves; X = cp * g is summed by 32-bit column.
+    cp = c << (h.view(np.uint64) + np.uint64(2))
+    p0, p1 = cp & _M32, cp >> np.uint64(32)
+    lo0, lo1 = [[p * limb & _M32 for limb in g] for p in (p0, p1)]
+    hi0, hi1 = [[p * limb >> np.uint64(32) for limb in g] for p in (p0, p1)]
+    columns = [
+        lo0[0],
+        hi0[0] + lo0[1] + lo1[0],
+        hi0[1] + hi1[0] + lo0[2] + lo1[1],
+        hi0[2] + hi1[1] + lo0[3] + lo1[2],
+    ]
+    columns = [col.view(np.int64) for col in columns]
+    top = ((hi0[3] + hi1[2] + lo1[3]) << np.uint64(1)) + (hi1[3] << np.uint64(33))
+    top = top.view(np.int64)
+    # The interval's bounds: 4c + 2 above, 4c - 2 below (4c - 1 if irregular).
+    limbs = [limb.view(np.int64) for limb in g]
+    above = [limb << h + 1 for limb in limbs]
+    below = [limb << h + 1 - irregular for limb in limbs]
+    vb = _round_to_odd(columns, top)
+    vbr = _round_to_odd([col + d for col, d in zip(columns, above)], top)
+    vbl = _round_to_odd([col - d for col, d in zip(columns, below)], top)
+    # An odd c excludes the interval's bounds: they round to its even neighbours.
+    odd = (c & np.uint64(1)).view(np.int64)
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    tp10 = sp10 + 10
+    # Of sp10 and tp10 at most one rounds back; if exactly one does, it is
+    # shorter than s.  Otherwise pick from s and s + 1 the one that rounds
+    # back, or if both do the nearer, s on a tie if it is even.
+    upin = vbl + odd <= sp10 << 2
+    wpin = (tp10 << 2) + odd <= vbr
+    uin = vbl + odd <= s << 2
+    win = (s << 2) + 4 + odd <= vbr
+    mid = (s << 2) + 2
+    lower = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & 1) == 0)))
+    m = np.where(upin != wpin, np.where(upin, sp10, tp10), np.where(lower, s, s + 1))
+    return m.view(np.uint64), k
+
+
+@functools.cache
+def _shortest_tables() -> tuple[np.ndarray, ...]:
+    """Words of text for _shortest_text, built on first use.
+
+    - digit words: entry r (r < 10000) is r as "0000".."9999" in the low 4
+      bytes of a little-endian uint64;
+    - zeros: entry r is the number of trailing zeros of those four digits;
+    - heads: sign and leading "0." of an entry 5 * negative + zeros + 1
+      (entry 0 or 5: no leading "0.");
+    - tails: "e-324" .. "e+308" in entries 0 .. 632, nothing in entry 633;
+    - low: row i, column j masks the first j bytes of a 3-word text for word
+      i, and point row i, column j puts "." at byte j (none at 24);
+    - specials: "nan", "inf", "-inf", "0.0", "-0.0".
+    """
+    def words(texts, width=8):
+        packed = b"".join(t.ljust(width, b"\0") for t in texts)
+        return np.frombuffer(packed, dtype="<u8").astype(np.uint64)
+
+    digits = _digit_table()[:10000].view(np.uint8).reshape(-1, 4)
+    digit_words = words([row.tobytes() for row in digits])
+    zeros = np.argmax(digits[:, ::-1] != ord("0"), axis=1) + 4 * (digits == ord("0")).all(axis=1)
+    heads = words([sign + lead for sign in (b"", b"-")
+                   for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")])
+    tails = words([f"e{e:+03d}".encode() for e in range(-324, 309)] + [b""])
+    low = words([b"\xff" * j for j in range(25)], 24).reshape(25, 3).T.copy()
+    point = words([b"\0" * j + b"." for j in range(24)] + [b""], 24).reshape(25, 3).T.copy()
+    specials = words([b"nan", b"inf", b"-inf", b"0.0", b"-0.0"])
+    tables = (digit_words, zeros.astype(np.int64), heads, tails, low, point, specials)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _shortest_text(values) -> np.ndarray:
+    """``repr`` of every float64 lane as an (n, 40) NUL-padded uint8 matrix.
+
+    The digits of _shortest_digits, scaled to 17, are laid out as ``repr``
+    does: positional for decimal exponents in [-4, 16), with ``.0`` after an
+    integral value, otherwise ``d.ddde±XX``.  A row is five little-endian
+    words: sign and leading ``0.``, three words of digits and point, and the
+    exponent.  nan, inf, -inf and zeros are written from a table.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bits = values.view(np.uint64)
+    m, k = _shortest_digits(bits)
+    digit_words, zeros, heads, tails, low, point, specials = _shortest_tables()
+    length = (m >= np.uint64(10**16)) + 16
+    subnormal = np.flatnonzero(m < np.uint64(10**15))
+    length[subnormal] = np.searchsorted(_POW10, m[subnormal], side="right") + 1
+    m = m * _TENS.take(17 - length)
+    # The 17 digits: a lead digit and four groups of four.
+    lead = m // np.uint64(10**16)
+    rest = m - lead * np.uint64(10**16)
+    high = rest // np.uint64(10**8)
+    low8 = rest - high * np.uint64(10**8)
+    g1 = high // np.uint64(10**4)
+    g3 = low8 // np.uint64(10**4)
+    g2 = high - g1 * np.uint64(10**4)
+    g4 = low8 - g3 * np.uint64(10**4)
+    z = zeros.take(g4) + (g4 == 0) * zeros.take(g3)
+    z += (low8 == 0) * (zeros.take(g2) + (g2 == 0) * zeros.take(g1))
+    shown = 17 - z  # digits up to the last nonzero one
+    e = length + k - 1  # the exponent of d.ddd
+    positional = (e >= -4) & (e < 16)
+    whole = positional & (e >= 0)
+    # p digits before the point, cut digits in all; no point in d and 0.0ddd.
+    p = np.where(whole, e + 1, 1)
+    cut = np.where(whole, np.maximum(shown, p + 1), shown)
+    dotted = whole | ~positional & (shown > 1)
+    split = np.where(dotted, p, cut) + 3
+    # Three NUL bytes, then the digits: the groups sit on 4-byte boundaries.
+    text = [
+        (lead + np.uint64(ord("0"))) << np.uint64(24) | digit_words.take(g1) << np.uint64(32),
+        digit_words.take(g2) | digit_words.take(g3) << np.uint64(32),
+        digit_words.take(g4),
+    ]
+    dot = np.where(dotted, p + 3, 24)
+    kept = [word & mask.take(cut + 3) for word, mask in zip(text, low)]
+    before = [word & mask.take(split) for word, mask in zip(kept, low)]
+    after = [word ^ b for word, b in zip(kept, before)]
+    # Bytes after the point move up one byte, and the point fills the gap.
+    body = [
+        before[0] | after[0] << np.uint64(8),
+        before[1] | after[1] << np.uint64(8) | after[0] >> np.uint64(56),
+        before[2] | after[2] << np.uint64(8) | after[1] >> np.uint64(56),
+    ]
+    body = [word | dots.take(dot) for word, dots in zip(body, point)]
+    head = heads.take(np.where(positional & (e < 0), -e, 0) + 5 * np.signbit(values))
+    tail = tails.take(np.where(positional, 633, e + 324))
+    words = np.stack([head, *body, tail], axis=1)
+    special = np.flatnonzero(~np.isfinite(values) | (values == 0))
+    if special.size:
+        v = values[special]
+        code = np.where(np.isnan(v), 0, np.where(np.isinf(v), 1, 3) + np.signbit(v))
+        words[special] = 0
+        words[special, 0] = specials.take(code)
+    return words.astype("<u8", copy=False).view(np.uint8)
 
 
 def _columns(*parts) -> np.ndarray:
@@ -116,7 +319,7 @@ def _text(matrix) -> bytes:
     """The bytes of a NUL-padded text matrix, row by row, padding dropped.
 
     CSV text holds no NUL, so dropping every NUL drops only padding."""
-    return matrix.tobytes().replace(b"\0", b"")
+    return matrix.tobytes().translate(None, b"\0")
 
 
 def _row_prefixes(ticks, timestamps) -> np.ndarray:
@@ -239,24 +442,42 @@ def export_store(store, out_dir) -> list[str]:
     return written
 
 
-def write_series_csv(path, values, label: str = "value") -> None:
-    """Two-column plot-ready export: sample index 0, 1, ... and value.
+def write_series_csv(paths, values, label: str = "value") -> None:
+    """Two-column plot-ready exports: sample index 0, 1, ... and value.
 
-    Values print as ``repr`` of their float64, a boolean series as
-    ``0.0``/``1.0``.  Rows are formatted SERIES_CHUNK_ROWS at a time, so
-    memory stays bounded by one chunk's text however long the series is.
+    One path takes a 1-D series.  k paths take a (k, n) block, and row r goes
+    to paths[r] with its index starting at 0.  Values print as ``repr`` of
+    their float64, computed in numpy lanes by _float_text; a boolean prints
+    as ``0.0``/``1.0``.  The block's lanes are formatted SERIES_CHUNK_ROWS at
+    a time, so memory stays bounded by one chunk's text however long the
+    series is.
     """
+    if isinstance(paths, (str, os.PathLike)):
+        paths, values = [paths], [values]
     values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    with open(path, "wb") as fh:
-        fh.write(f"index,{label}\n".encode())
-        for lo in range(0, n, SERIES_CHUNK_ROWS):
-            hi = min(lo + SERIES_CHUNK_ROWS, n)
-            fh.write(_series_rows(np.arange(lo, hi), values[lo:hi]))
+    if values.ndim != 2 or values.shape[0] != len(paths):
+        raise ValueError(f"{len(paths)} path(s) for values of shape {values.shape}")
+    n = values.shape[1]
+    lanes = values.reshape(-1)
+    header = f"index,{label}\n".encode()
+    lo, rows = 0, np.empty((0, 0), dtype=np.uint8)  # the text of lanes lo, lo + 1, ...
+    for r, path in enumerate(paths):
+        with open(path, "wb") as fh:
+            fh.write(header)
+            start, end = r * n, (r + 1) * n
+            while start < end:
+                if start == lo + len(rows):
+                    lo, rows = start, _series_rows(lanes[start:start + SERIES_CHUNK_ROWS], n, start)
+                stop = min(end, lo + len(rows))
+                fh.write(_text(rows[start - lo:stop - lo]))
+                start = stop
 
 
-def _series_rows(idx, values) -> bytes:
-    return _text(_columns(_int_text(idx), _COMMA, _float_text(values), _NL))
+def _series_rows(lanes, n: int, first: int = 0) -> np.ndarray:
+    """``index,value`` text rows of lanes first, first + 1, ... of a block
+    whose rows hold n lanes each."""
+    index = np.arange(first, first + len(lanes)) % n
+    return _columns(_int_text(index), _COMMA, _float_text(lanes), _NL)
 
 
 def write_reduced_file(
