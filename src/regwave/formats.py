@@ -53,9 +53,8 @@ def _digit_table() -> np.ndarray:
     return table
 
 
-_TENS = np.array([10**k for k in range(20)], dtype=np.uint64)
 # 10**1 .. 10**19: searchsorted counts the digits of a uint64 magnitude.
-_POW10 = _TENS[1:]
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 _NL = np.array([[ord("\n")]], dtype=np.uint8)
 _COMMA = np.array([[ord(",")]], dtype=np.uint8)
 _POINT_ZERO = np.array([[ord("."), ord("0")]], dtype=np.uint8)
@@ -103,8 +102,8 @@ def _float_text(values) -> np.ndarray:
         integral = (np.abs(values) < 2.0**53) & (values == np.trunc(values))
     if integral.all() and not np.signbit(values[values == 0]).any():
         return _columns(_int_text(values.astype(np.int64)), _POINT_ZERO)
-    n = values.shape[0]
-    return np.concatenate([_shortest_text(values[lo:lo + _LANES]) for lo in range(0, n, _LANES)])
+    passes = range(0, values.shape[0], _LANES)
+    return np.concatenate([_shortest_text(values[lo:lo + _LANES]) for lo in passes])
 
 
 @functools.cache
@@ -133,7 +132,8 @@ def _shortest_table() -> np.ndarray:
             shift = 125 - log2
             num, den = (ten, 1) if k <= 0 else (1, ten)
             g = (num << max(shift, 0)) // (den << max(-shift, 0)) + 1
-            columns.append([k, q + log2 + 2, *((g >> 32 * j) & 0xFFFFFFFF for j in range(4))])
+            limbs = [(g >> 32 * j) & 0xFFFFFFFF for j in range(4)]
+            columns.append([k, q + log2 + 2, *limbs])
     table = np.array(columns, dtype=np.int64).T.copy()
     table.setflags(write=False)
     return table
@@ -161,10 +161,10 @@ def _shortest_digits(bits) -> tuple[np.ndarray, np.ndarray]:
     nonzero double, the decimal m * 10**k with the fewest digits that rounds
     back to it, the nearest such one, and of two equally near the even one.
 
-    m has 16 or 17 digits, trailing zeros included, except for subnormals.
-    The 64 x 126-bit products are summed from 32-bit halves.
+    m (int64) has 16 or 17 digits, trailing zeros included, except for
+    subnormals.  The 64 x 126-bit products are summed from 32-bit halves.
     """
-    biased = (bits >> np.uint64(52)).view(np.int64)  & 0x7FF
+    biased = (bits >> np.uint64(52)).view(np.int64) & 0x7FF
     fraction = bits & np.uint64((1 << 52) - 1)
     c = np.where(biased > 0, fraction | np.uint64(1 << 52), fraction)
     irregular = (fraction == 0) & (biased > 1)
@@ -206,7 +206,7 @@ def _shortest_digits(bits) -> tuple[np.ndarray, np.ndarray]:
     mid = (s << 2) + 2
     lower = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & 1) == 0)))
     m = np.where(upin != wpin, np.where(upin, sp10, tp10), np.where(lower, s, s + 1))
-    return m.view(np.uint64), k
+    return m, k
 
 
 @functools.cache
@@ -216,8 +216,8 @@ def _shortest_tables() -> tuple[np.ndarray, ...]:
     - digit words: entry r (r < 10000) is r as "0000".."9999" in the low 4
       bytes of a little-endian uint64;
     - zeros: entry r is the number of trailing zeros of those four digits;
-    - heads: sign and leading "0." of an entry 5 * negative + zeros + 1
-      (entry 0 or 5: no leading "0.");
+    - heads: entry 5 * negative + j is the sign, then for j >= 1 "0." and
+      j - 1 zeros;
     - tails: "e-324" .. "e+308" in entries 0 .. 632, nothing in entry 633;
     - low: row i, column j masks the first j bytes of a 3-word text for word
       i, and point row i, column j puts "." at byte j (none at 24);
@@ -229,12 +229,14 @@ def _shortest_tables() -> tuple[np.ndarray, ...]:
 
     digits = _digit_table()[:10000].view(np.uint8).reshape(-1, 4)
     digit_words = words([row.tobytes() for row in digits])
-    zeros = np.argmax(digits[:, ::-1] != ord("0"), axis=1) + 4 * (digits == ord("0")).all(axis=1)
+    zero = digits == ord("0")
+    zeros = np.argmax(~zero[:, ::-1], axis=1) + 4 * zero.all(axis=1)
     heads = words([sign + lead for sign in (b"", b"-")
                    for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")])
     tails = words([f"e{e:+03d}".encode() for e in range(-324, 309)] + [b""])
-    low = words([b"\xff" * j for j in range(25)], 24).reshape(25, 3).T.copy()
-    point = words([b"\0" * j + b"." for j in range(24)] + [b""], 24).reshape(25, 3).T.copy()
+    low = words([b"\xff" * j for j in range(25)], 24)
+    point = words([b"\0" * j + b"." for j in range(24)] + [b""], 24)
+    low, point = (table.reshape(25, 3).T.copy() for table in (low, point))
     specials = words([b"nan", b"inf", b"-inf", b"0.0", b"-0.0"])
     tables = (digit_words, zeros.astype(np.int64), heads, tails, low, point, specials)
     for table in tables:
@@ -255,19 +257,20 @@ def _shortest_text(values) -> np.ndarray:
     bits = values.view(np.uint64)
     m, k = _shortest_digits(bits)
     digit_words, zeros, heads, tails, low, point, specials = _shortest_tables()
-    length = (m >= np.uint64(10**16)) + 16
-    subnormal = np.flatnonzero(m < np.uint64(10**15))
-    length[subnormal] = np.searchsorted(_POW10, m[subnormal], side="right") + 1
-    m = m * _TENS.take(17 - length)
+    length = (m >= 10**16) + 16
+    subnormal = np.flatnonzero(m < 10**15)
+    magnitude = m[subnormal].view(np.uint64)
+    length[subnormal] = np.searchsorted(_POW10, magnitude, side="right") + 1
+    m = m * 10 ** (17 - length)
     # The 17 digits: a lead digit and four groups of four.
-    lead = m // np.uint64(10**16)
-    rest = m - lead * np.uint64(10**16)
-    high = rest // np.uint64(10**8)
-    low8 = rest - high * np.uint64(10**8)
-    g1 = high // np.uint64(10**4)
-    g3 = low8 // np.uint64(10**4)
-    g2 = high - g1 * np.uint64(10**4)
-    g4 = low8 - g3 * np.uint64(10**4)
+    lead = m // 10**16
+    rest = m - lead * 10**16
+    high = rest // 10**8
+    low8 = rest - high * 10**8
+    g1 = high // 10**4
+    g3 = low8 // 10**4
+    g2 = high - g1 * 10**4
+    g4 = low8 - g3 * 10**4
     z = zeros.take(g4) + (g4 == 0) * zeros.take(g3)
     z += (low8 == 0) * (zeros.take(g2) + (g2 == 0) * zeros.take(g1))
     shown = 17 - z  # digits up to the last nonzero one
@@ -281,7 +284,8 @@ def _shortest_text(values) -> np.ndarray:
     split = np.where(dotted, p, cut) + 3
     # Three NUL bytes, then the digits: the groups sit on 4-byte boundaries.
     text = [
-        (lead + np.uint64(ord("0"))) << np.uint64(24) | digit_words.take(g1) << np.uint64(32),
+        (lead + ord("0")).view(np.uint64) << np.uint64(24)
+        | digit_words.take(g1) << np.uint64(32),
         digit_words.take(g2) | digit_words.take(g3) << np.uint64(32),
         digit_words.take(g4),
     ]
@@ -467,13 +471,14 @@ def write_series_csv(paths, values, label: str = "value") -> None:
             start, end = r * n, (r + 1) * n
             while start < end:
                 if start == lo + len(rows):
-                    lo, rows = start, _series_rows(lanes[start:start + SERIES_CHUNK_ROWS], n, start)
+                    chunk = lanes[start:start + SERIES_CHUNK_ROWS]
+                    lo, rows = start, _series_rows(chunk, n, start)
                 stop = min(end, lo + len(rows))
                 fh.write(_text(rows[start - lo:stop - lo]))
                 start = stop
 
 
-def _series_rows(lanes, n: int, first: int = 0) -> np.ndarray:
+def _series_rows(lanes, n: int, first: int) -> np.ndarray:
     """``index,value`` text rows of lanes first, first + 1, ... of a block
     whose rows hold n lanes each."""
     index = np.arange(first, first + len(lanes)) % n

@@ -459,3 +459,120 @@ def test_register_csv_matches_the_per_row_writer(tmp_path, case):
     write_register_csv(tmp_path / "one.csv", ticks, stamps, values)
     _per_row_register_csv(tmp_path / "ref.csv", ticks, stamps, values)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _assert_repr_text(values):
+    """_float_text prints every value as repr does."""
+    values = np.asarray(values, dtype=np.float64)
+    text = formats._float_text(values)
+    got = formats._text(formats._columns(text, formats._NL)).decode()
+    want = "\n".join(map(repr, values.tolist())) + "\n"
+    if got != want:
+        i = next(i for i, (g, w) in enumerate(zip(got.split(), want.split())) if g != w)
+        pytest.fail(f"bits {values.view(np.uint64)[i]:#018x}: {got.split()[i]!r} "
+                    f"is not repr's {want.split()[i]!r}")
+
+
+def test_float_text_equals_repr_on_random_bit_patterns():
+    # 10**6 seeded patterns, nan and inf payloads included; the CI sweep
+    # script runs 10**7.
+    rng = np.random.default_rng(20251)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+    _assert_repr_text(bits.view(np.float64))
+
+
+def test_float_text_equals_repr_on_powers_of_two_and_their_neighbours():
+    # Every power of two, subnormal ones included, where the interval below a
+    # value is half as wide as the one above.
+    normal = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+    subnormal = np.uint64(1) << np.arange(52, dtype=np.uint64)
+    powers = np.concatenate([normal, subnormal])
+    bits = np.concatenate([powers - np.uint64(1), powers, powers + np.uint64(1)])
+    bits = bits[bits >> np.uint64(52) != np.uint64(2047)]  # not inf or nan
+    values = bits.view(np.float64)
+    _assert_repr_text(np.concatenate([values, -values]))
+
+
+def test_float_text_equals_repr_on_integers_near_2_53():
+    near = 2**53 + np.arange(-4096, 4097)
+    values = np.concatenate([near, -near, 2 * near]).astype(np.float64)
+    _assert_repr_text(values)  # beyond 2**53 the shortest kernel takes all
+    below = values[np.abs(values) < 2.0**53]
+    _assert_repr_text(below)  # the integer kernel
+    _assert_repr_text(np.append(below, 0.5))  # the shortest kernel
+
+
+@pytest.mark.parametrize("edge", [1e-4, 1e16])
+def test_float_text_equals_repr_at_the_notation_boundaries(edge):
+    values = [edge]
+    for direction in (-np.inf, np.inf):
+        v = edge
+        for _ in range(8):
+            v = np.nextafter(v, direction)
+            values.append(v)
+    _assert_repr_text(values + [-v for v in values] + [edge * 10, edge / 10])
+
+
+def test_float_text_equals_repr_on_named_values():
+    _assert_repr_text([
+        5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+        1.7976931348623157e308, 1e23, 0.1 + 0.2, 0.1, 1 / 3, 2 / 3, 1e22,
+        9007199254740993.0, 123456.789, 1e-5, 0.5,
+    ])
+
+
+@pytest.mark.parametrize("others", [[], [0.5], [3.0]])
+def test_float_text_of_zeros_nan_and_inf(others):
+    specials = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf")]
+    _assert_repr_text(specials + others)
+
+
+def test_float_text_equals_repr_on_subnormals():
+    rng = np.random.default_rng(7)
+    bits = np.concatenate([
+        np.arange(1, 5000, dtype=np.uint64),
+        rng.integers(1, 2**52, size=10**5, dtype=np.uint64),
+    ])
+    _assert_repr_text(bits.view(np.float64))
+
+
+def test_shortest_table_keeps_the_products_in_range():
+    # g has 126 bits, and 4c + 2 < 2**55 shifted by h <= 5 stays below 2**60,
+    # so every 32-bit partial product and column sum fits its lane.
+    k, h, *limbs = formats._shortest_table()
+    g = sum(limb.astype(object) << 32 * j for j, limb in enumerate(limbs))
+    assert all(2**125 <= v < 2**126 for v in g)
+    assert h.min() == 2 and h.max() == 5
+    assert k.min() == -324 and k.max() == 292
+
+
+def test_series_block_writes_each_row_as_its_own_series(tmp_path, monkeypatch):
+    # Chunks of 100 lanes over windows of 37: specials sit on both edges.
+    monkeypatch.setattr(formats, "SERIES_CHUNK_ROWS", 100)
+    k, n = 9, 37
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-8, 20, size=(k, n))
+    lanes = block.reshape(-1)
+    specials = [float("nan"), -0.0, float("inf"), 0.0, -float("inf"), 5e-324, 7.0, 1e16]
+    edges = sorted({*range(0, k * n, n), *range(n - 1, k * n, n),
+                    *range(0, k * n, 100), *range(99, k * n, 100)})
+    for i, lane in enumerate(edges):
+        lanes[lane] = specials[i % len(specials)]
+    paths = [tmp_path / f"w{r}.csv" for r in range(k)]
+    write_series_csv(paths, block, label="synthesized")
+    for r, path in enumerate(paths):
+        write_series_csv(tmp_path / "one.csv", block[r], label="synthesized")
+        _per_row_series_csv(tmp_path / "old.csv", block[r], label="synthesized")
+        assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_series_block_of_empty_rows_writes_headers(tmp_path):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    write_series_csv(paths, np.zeros((2, 0)), label="flag")
+    assert [p.read_text() for p in paths] == ["index,flag\n"] * 2
+
+
+def test_series_writer_refuses_paths_that_do_not_match_the_rows(tmp_path):
+    with pytest.raises(ValueError, match="2 path"):
+        write_series_csv([tmp_path / "a.csv", tmp_path / "b.csv"], np.zeros(5))
