@@ -1,12 +1,17 @@
-"""On-disk formats: register CSVs, reduced-register files, model files.
+"""On-disk formats: register CSVs, series CSVs, reduced-register files,
+model files.
 
-Register series travel as CSV with header ``tick,timestamp_s,value``.
-Reduced registers and fitted models are JSON documents carrying a format tag;
-floats are written with ``repr`` precision, so coefficient round trips are
-exact.  A reduced file stores each window's ``index`` and ``start``; they
-are written and checked here only, so that everywhere else window r is
-simply row r of a register.  The file spells each window's kept branches as
-a path of ``L`` and ``H`` letters, which only this module reads and writes.
+Register series travel as CSV with header ``tick,timestamp_s,value``, and
+plot-ready series as ``index,<label>``.  CSV text is built in numpy without
+a Python call per value: integers from a table of four-digit groups, floats
+as the text ``repr`` gives, from shortest round-trip digits computed in
+uint64 lanes.  Reduced registers and fitted models are JSON documents
+carrying a format tag; ``json`` writes their floats with ``repr``, so
+coefficient round trips are exact.  A reduced file stores each window's
+``index`` and ``start``; they are written and checked here only, so that
+everywhere else window r is simply row r of a register.  The file spells
+each window's kept branches as a path of ``L`` and ``H`` letters, which only
+this module reads and writes.
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ def _float_text(values) -> np.ndarray:
 
     An array of whole numbers below 2**53 (-0.0 aside) prints each as its
     integer plus ``.0`` through the integer kernel.  Any other array goes
-    through the shortest round-trip kernel, lane by lane in numpy.
+    through the shortest round-trip kernel, _LANES values per pass.
     """
     values = np.asarray(values, dtype=np.float64)
     with np.errstate(invalid="ignore"):  # np.trunc of a signalling nan
@@ -148,7 +153,12 @@ _LANES = 4096
 def _round_to_odd(columns, top) -> np.ndarray:
     """floor(x) | (x has a fraction), for x = X / 2**127 truncated to 63
     fraction bits; X is the sum of 32-bit-spaced int64 columns 0..3 plus the
-    bits of X / 2**127 above them already shifted into top."""
+    bits of X / 2**127 above them already shifted into top.
+
+    g is rounded up, so X exceeds the exact product by less than 2**60.
+    The truncation drops that excess: a product that is exactly an integer,
+    a tie between two decimals, still reads as one.
+    """
     c0, c1, c2, c3 = columns
     c2 = c2 + ((c1 + (c0 >> 32)) >> 32)
     c3 = c3 + (c2 >> 32)
@@ -167,7 +177,7 @@ def _shortest_digits(bits) -> tuple[np.ndarray, np.ndarray]:
     biased = (bits >> np.uint64(52)).view(np.int64) & 0x7FF
     fraction = bits & np.uint64((1 << 52) - 1)
     c = np.where(biased > 0, fraction | np.uint64(1 << 52), fraction)
-    irregular = (fraction == 0) & (biased > 1)
+    irregular = (fraction == np.uint64(0)) & (biased > 1)
     k, h, *g = _shortest_table().take(biased + 2048 * irregular, axis=1)
     g = [limb.view(np.uint64) for limb in g]
     # 4c scaled by 2**h, split in halves; X = cp * g is summed by 32-bit column.
